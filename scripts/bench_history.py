@@ -21,12 +21,10 @@ Usage:
 --min-seconds (default 0.05): sub-50ms wall times are scheduler noise.
 
 Besides wall time, `check` compares every `planned_peak_bytes*` scalar
-(the arena planner's per-model footprint from BENCH_graph_plan.json),
-every `arena_peak_bytes*` scalar and every `arena_live_over_planned*`
-ratio (the executor's measured footprint from BENCH_arena.json) against
-the previous entry with the same threshold: all three are deterministic,
-so growth past the threshold is a real graph or placement change, not
-noise — and unlike wall time they are not gated on --min-seconds.
+(the arena planner's per-model footprint from BENCH_graph_plan.json)
+against the previous entry with the same threshold: planned memory is
+deterministic, so growth past the threshold is a real graph change, not
+noise — and unlike wall time it is not gated on --min-seconds.
 
 Throughput scalars run the check in the inverse direction: for every
 `sessions_per_sec*` scalar (BENCH_batch_throughput.json) a *drop* beyond
@@ -191,16 +189,12 @@ def check_entries(entries, max_regress_pct, min_seconds):
                 regressions.append(
                     f"{name}: wall_seconds {b:.3f} -> {c:.3f} ({pct:+.1f}% > "
                     f"{max_regress_pct:.0f}%)")
-        # Arena footprints — the planner's byte counts and the executor's
-        # measured live peak / live-over-planned ratio — are deterministic:
-        # no noise floor; any growth past the threshold is a real graph or
-        # placement change.
+        # Planned arena footprints are deterministic byte counts — no noise
+        # floor; any growth past the threshold is a real graph change.
         base_scalars = base.get("scalars") or {}
         cur_scalars = cur.get("scalars") or {}
-        direct_keys = ("planned_peak_bytes", "arena_peak_bytes",
-                       "arena_live_over_planned")
         for key in sorted(cur_scalars):
-            if not key.startswith(direct_keys):
+            if not key.startswith("planned_peak_bytes"):
                 continue
             sb, sc = base_scalars.get(key), cur_scalars[key]
             if not isinstance(sb, (int, float)) or sb <= 0 \
@@ -350,35 +344,6 @@ def self_test():
             "planned_peak_bytes/EMBSR"] = 1040.0
         if check_entries(grown, 50.0, 0.05):
             failures.append("steady planned peak flagged as regression")
-
-        # The executor's measured arena footprint regresses like the
-        # planner's: live-peak growth or a live-over-planned ratio jump
-        # past the threshold fails the check...
-        arena = [
-            {"commit": "x", "benches": {"arena": {
-                "wall_seconds": 0.01, "threads": 1, "bench_scale": 1.0,
-                "scalars": {"arena_peak_bytes/EMBSR/b16": 50000.0,
-                            "arena_live_over_planned/EMBSR/b16": 0.9}}}},
-            {"commit": "y", "benches": {"arena": {
-                "wall_seconds": 0.01, "threads": 1, "bench_scale": 1.0,
-                "scalars": {"arena_peak_bytes/EMBSR/b16": 90000.0,
-                            "arena_live_over_planned/EMBSR/b16": 0.9}}}},
-        ]
-        regs = check_entries(arena, 50.0, 0.05)
-        if not any("arena_peak_bytes/EMBSR/b16" in r for r in regs):
-            failures.append(f"arena peak growth not flagged: {regs}")
-        arena[1]["benches"]["arena"]["scalars"] = {
-            "arena_peak_bytes/EMBSR/b16": 50000.0,
-            "arena_live_over_planned/EMBSR/b16": 1.5}
-        regs = check_entries(arena, 50.0, 0.05)
-        if not any("arena_live_over_planned/EMBSR/b16" in r for r in regs):
-            failures.append(f"live-over-planned jump not flagged: {regs}")
-        # ...while steady footprints stay quiet.
-        arena[1]["benches"]["arena"]["scalars"] = {
-            "arena_peak_bytes/EMBSR/b16": 52000.0,
-            "arena_live_over_planned/EMBSR/b16": 0.92}
-        if check_entries(arena, 50.0, 0.05):
-            failures.append("steady arena footprint flagged as regression")
 
         # A sessions/sec *drop* is a regression (inverse direction)...
         slowed = [

@@ -23,14 +23,6 @@ Rules (rule ids in parentheses):
               src/util. All timing flows through WallTimer, obs spans or
               prof::NowNs, so the profiler sees every measurement and
               ad-hoc stopwatches can't drift from the instrumented paths.
-  arena-bypass  direct heap Tensor construction inside src/arena. The
-              arena executor must materialize node storage only through
-              Tensor::FromArenaView (placed) or by leaving the recorded
-              tensor alone (heap occurrences); a stray `Tensor t(...)` or
-              factory call there is a buffer the planner never saw, which
-              silently breaks the zero-steady-state-allocation guarantee.
-              The fail-open spill path carries the only sanctioned
-              suppressions.
   raw-resize  `.resize(` / `.Reshape(` outside src/tensor. Tensor reshape
               and buffer growth invalidate the static liveness intervals
               the arena planner (src/analyze) proves safe, and Reshape's
@@ -77,7 +69,7 @@ LAYER_DEPS = {
     "datagen": {"data", "obs", "util", "failpoint"},
     "robust": {"failpoint", "nn", "optim", "autograd", "tensor", "obs",
                "util"},
-    "models": {"arena", "nn", "optim", "data", "graph", "metrics", "robust",
+    "models": {"nn", "optim", "data", "graph", "metrics", "robust",
                "failpoint", "autograd", "tensor", "obs", "prof", "util"},
     "serve": {"models", "nn", "optim", "data", "graph", "metrics", "robust",
               "failpoint", "autograd", "tensor", "obs", "prof", "util"},
@@ -92,7 +84,6 @@ LAYER_DEPS = {
     "analyze": {"train", "core", "datagen", "models", "nn", "optim", "data",
                 "graph", "metrics", "robust", "failpoint", "autograd",
                 "tensor", "par", "obs", "prof", "util"},
-    "arena": {"analyze", "autograd", "tensor", "obs", "util"},
 }
 
 SUPPRESS_RE = re.compile(r"//\s*lint:\s*allow\((?P<rule>[a-z-]+)\)(?P<reason>.*)")
@@ -118,13 +109,6 @@ RAW_RESIZE_RE = re.compile(r"\.(?:resize|Reshape)\s*\(")
 # The only directory allowed to change a buffer's shape in place; see the
 # raw-resize rule description.
 RESIZE_EXEMPT_DIRS = ("tensor",)
-# Heap Tensor materialization inside the arena executor: a local Tensor
-# declaration, any Tensor:: factory other than the sanctioned FromArenaView,
-# or a raw-new'd Tensor. Scoped to src/arena only.
-ARENA_BYPASS_RE = re.compile(
-    r"\bTensor\s+[A-Za-z_]"
-    r"|\bTensor::(?!FromArenaView\b)[A-Za-z_]+\s*\("
-    r"|\bnew\s+Tensor\b")
 
 
 def strip_comments(line):
@@ -171,7 +155,6 @@ def lint_file(rel_path, text):
     resize_exempt = any(
         rel_path.startswith(os.path.join("src", d) + os.sep)
         for d in RESIZE_EXEMPT_DIRS)
-    in_arena = rel_path.startswith(os.path.join("src", "arena") + os.sep)
 
     carried = None  # suppression declared on the previous line
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -235,11 +218,6 @@ def lint_file(rel_path, text):
                   "direct std::chrono outside src/obs, src/prof and "
                   "src/util; time through WallTimer, obs spans or "
                   "prof::NowNs so the profiler sees every measurement")
-        if in_arena and ARENA_BYPASS_RE.search(code):
-            check("arena-bypass",
-                  "direct heap Tensor construction in the arena executor; "
-                  "materialize through Tensor::FromArenaView or justify a "
-                  "fail-open spill with an inline suppression")
         if RAW_RESIZE_RE.search(code) and not resize_exempt:
             check("raw-resize",
                   ".resize()/.Reshape() outside src/tensor; in-place shape "
@@ -339,22 +317,12 @@ SELF_TEST_CASES = [
     ("raw-resize", "bench/x.cc",
      "sessions.resize(count);",
      "std::vector<Session> sessions(count);"),
-    ("arena-bypass", "src/arena/x.cc",
-     "Tensor scratch({rows, cols}, 0.0f);",
-     "node->value = Tensor::FromArenaView(v, node->value.shape());"),
-    ("arena-bypass", "src/arena/x.cc",
-     "Tensor z = Tensor::Zeros({rows, cols});",
-     "const Tensor& ref = node->value;"),
 ]
 
 # The raw-chrono / raw-resize exemption lists, pinned separately because the
 # table above can only express "fires on bad / quiet on good" at one path.
 CHRONO_EXEMPT_SNIPPET = "auto t0 = std::chrono::steady_clock::now();\n"
 RESIZE_EXEMPT_SNIPPET = "data_.resize(new_elems);\n"
-# arena-bypass is scoped to src/arena: the same construction elsewhere is
-# ordinary model code and must not fire.
-ARENA_BYPASS_SNIPPET = "Tensor scratch({rows, cols}, 0.0f);\n"
-ARENA_BYPASS_QUIET_DIRS = ("models", "nn", "autograd")
 
 
 def self_test():
@@ -379,17 +347,10 @@ def self_test():
                  if v[2] == "raw-resize"]
         if fired:
             failures.append(f"raw-resize fired in exempt dir: {path}")
-    arena_quiet_paths = [os.path.join("src", d, "x.cc")
-                         for d in ARENA_BYPASS_QUIET_DIRS]
-    for path in arena_quiet_paths:
-        fired = [v for v in lint_file(path, ARENA_BYPASS_SNIPPET)
-                 if v[2] == "arena-bypass"]
-        if fired:
-            failures.append(f"arena-bypass fired outside src/arena: {path}")
     for msg in failures:
         print(f"self-test: {msg}")
     cases = (len(SELF_TEST_CASES) + len(exempt_paths)
-             + len(resize_exempt_paths) + len(arena_quiet_paths))
+             + len(resize_exempt_paths))
     print(f"self-test: {cases} cases, {len(failures)} failure(s)")
     return 1 if failures else 0
 

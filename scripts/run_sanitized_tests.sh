@@ -17,7 +17,7 @@
 # declarations, so it is deterministic at every thread count — the
 # EMBSR_THREADS=4 leg exercises the same contracts under a real pool.
 #
-# Each config runs six ctest legs: the full suite, the concurrency-
+# Each config runs five ctest legs: the full suite, the concurrency-
 # sensitive suites re-run under a forced EMBSR_THREADS=4 pool, the
 # prof/par/autograd suites re-run with EMBSR_PROF=1 EMBSR_THREADS=4 so the
 # embsr::prof attribution counters race under a real pool (and under TSan
@@ -25,11 +25,7 @@
 # EMBSR_FAILPOINTS armed so the serving core's degraded/retry paths are
 # exercised under each sanitizer, and the BatchEquiv suite re-run with
 # EMBSR_BATCH_SIZE=16 x EMBSR_THREADS=4 so the batched trainer/evaluator
-# paths race under a real pool, and the Arena* + BatchEquiv suites re-run
-# with EMBSR_ARENA=1 x EMBSR_THREADS=4 so the plan-executing arena's
-# record/place/fallback paths (and the sentinel's poison/sweep machinery)
-# run under each sanitizer — including the lifetime gate itself under ASan,
-# where dead intervals are hardware-poisoned.
+# paths race under a real pool.
 #
 # Build dirs: build-<config> (override root with EMBSR_SAN_BUILD_DIR).
 # Logs: <build dir>/ctest-<config>.log.
@@ -168,26 +164,6 @@ for config in "${configs[@]}"; do
   else
     echo "=== [$config batch] FAIL"
     failed+=("$config-batch")
-  fi
-
-  # Sixth leg: the arena executor. The Arena* suites (plan cache, bitwise
-  # equivalence, footprint, lifetime-conformance sentinel) plus BatchEquiv
-  # re-run with an ambient EMBSR_ARENA=1 and a forced 4-lane pool, so the
-  # record -> place -> fallback state machine, the per-touch lifetime gate
-  # and the poison/sweep of dead intervals all run under each sanitizer.
-  # The arena tests pin EMBSR_ARENA themselves via ScopedEnv, so the
-  # ambient value steers only the paths that read the env default; under
-  # the contracts config the gate's strict clock bounds are active.
-  arena_log="$build_dir/ctest-$config-arena.log"
-  echo "=== [$config] ctest EMBSR_ARENA=1 EMBSR_THREADS=4 (log: $arena_log)"
-  if (cd "$build_dir" && EMBSR_ARENA=1 EMBSR_THREADS=4 ctest \
-        --output-on-failure \
-        -R '^(Arena|BatchEquiv)' \
-        2>&1 | tee "$arena_log"); then
-    echo "=== [$config arena] PASS"
-  else
-    echo "=== [$config arena] FAIL"
-    failed+=("$config-arena")
   fi
 done
 

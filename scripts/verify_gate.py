@@ -48,15 +48,6 @@ training, ragged-edge masks, batched tape audits across the zoo — as a
 gate stage. Every test in the suite pins EMBSR_BATCH_SIZE itself, so the
 stage is meaningful under any ambient environment.
 
-With --arena BIN (CMake passes the built bench_arena), also runs the
-arena executor across the neural zoo at tiny scale — heap baseline vs.
-placed replay at batch 1 and 16 — and validates the BENCH_arena.json
-sidecar it writes, so every gate run proves the plan-executing arena
-still places the whole zoo with its live peak inside the planned
-footprint. The arena test suite (plan cache, bitwise equivalence,
-lifetime-conformance sentinel) runs as its own ctest; this stage covers
-the footprint trajectory artifact.
-
 Exits non-zero on the first failing stage. Stdlib only.
 """
 
@@ -113,11 +104,6 @@ def main():
                         help="path to the built batch_equiv_test binary; "
                              "when given, run the batched-execution "
                              "equivalence suite as a gate stage")
-    parser.add_argument("--arena", metavar="BIN", default=None,
-                        help="path to the built bench_arena binary; when "
-                             "given, run the arena executor across the "
-                             "neural zoo at tiny scale and validate the "
-                             "BENCH_arena.json it emits")
     args = parser.parse_args()
     root = os.path.abspath(args.repo_root)
     scripts = os.path.join(root, "scripts")
@@ -180,12 +166,6 @@ def main():
     if args.batch_equiv:
         run([args.batch_equiv],
             "batch equivalence (batched vs legacy execution)")
-
-    if args.arena:
-        run([py, os.path.join(scripts, "check_bench_json.py"),
-             "--run", args.arena],
-            "arena executor (zoo placed, footprint in plan, JSON validated)",
-            extra_env={"EMBSR_BENCH_SCALE": "0.05"})
 
     print("verify_gate: OK")
     return 0

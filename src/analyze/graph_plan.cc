@@ -39,15 +39,7 @@ void NoteValueRead(PlanBuffer* b, int64_t step) {
 
 GraphPlan BuildGraphPlan(const ag::Variable& loss,
                          const std::vector<nn::NamedParameter>& params,
-                         const ag::Tape& tape,
-                         const PlanOptions& options) {
-  return BuildGraphPlan(loss, params, tape.nodes(), options);
-}
-
-GraphPlan BuildGraphPlan(const ag::Variable& loss,
-                         const std::vector<nn::NamedParameter>& params,
-                         const std::vector<std::shared_ptr<ag::Node>>& recorded,
-                         const PlanOptions& options) {
+                         const ag::Tape& tape) {
   GraphPlan plan;
   if (!loss.defined()) {
     plan.build_failures.push_back(
@@ -60,9 +52,9 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
   // reachable pre-tape nodes (parameters and cached constants: persistent).
   std::vector<ag::Node*> nodes;
   std::unordered_map<ag::Node*, NodeInfo> info;
-  const int64_t forward_steps = static_cast<int64_t>(recorded.size());
+  const int64_t forward_steps = static_cast<int64_t>(tape.nodes().size());
   for (int64_t i = 0; i < forward_steps; ++i) {
-    ag::Node* n = recorded[static_cast<size_t>(i)].get();
+    ag::Node* n = tape.nodes()[static_cast<size_t>(i)].get();
     auto [it, fresh] = info.try_emplace(n);
     if (!fresh) continue;  // defensive: a tape records each node once
     it->second.fwd_step = i;
@@ -94,27 +86,23 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
   plan.build_failures = CheckShapes(nodes, &plan.stats.shapes);
 
   // ---- Backward schedule: replay exactly what Variable::Backward() runs.
-  // Forward-only plans (eval/serving steps) have no seed and no backward
-  // steps; the caller reads the root at end_step == forward_steps.
+  const std::vector<ag::Node*> post = ag::BackwardPostOrder(loss);
+  std::unordered_set<ag::Node*> ready;
+  ready.insert(root);
+  info[root].accum_steps.push_back(forward_steps);  // the gradient seed
   int64_t step = forward_steps;
-  if (!options.forward_only) {
-    const std::vector<ag::Node*> post = ag::BackwardPostOrder(loss);
-    std::unordered_set<ag::Node*> ready;
-    ready.insert(root);
-    info[root].accum_steps.push_back(forward_steps);  // the gradient seed
-    for (auto it = post.rbegin(); it != post.rend(); ++it) {
-      ag::Node* n = *it;
-      if (!n->backward_fn || ready.count(n) == 0) continue;
-      info[n].exec_step = ++step;
-      for (const auto& p : n->parents) {
-        if (!p->requires_grad) continue;
-        info[p.get()].accum_steps.push_back(step);
-        ready.insert(p.get());
-      }
+  for (auto it = post.rbegin(); it != post.rend(); ++it) {
+    ag::Node* n = *it;
+    if (!n->backward_fn || ready.count(n) == 0) continue;
+    info[n].exec_step = ++step;
+    for (const auto& p : n->parents) {
+      if (!p->requires_grad) continue;
+      info[p.get()].accum_steps.push_back(step);
+      ready.insert(p.get());
     }
   }
   const int64_t backward_steps = step - forward_steps;
-  const int64_t end_step = options.forward_only ? forward_steps : step + 1;
+  const int64_t end_step = step + 1;
   plan.end_step = end_step;
   plan.stats.tape_nodes = forward_steps;
   plan.stats.persistent_nodes = persistent_nodes;
@@ -126,9 +114,6 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
   // ZeroGrad — the documented precondition).
   for (ag::Node* n : nodes) {
     const NodeInfo& ni = info[n];
-    // Executor context: persistent grads accumulate across the mini-batch,
-    // so their runtime count says nothing about this one step's schedule.
-    if (options.executor_mode && ni.fwd_step < 0) continue;
     const int64_t simulated = static_cast<int64_t>(ni.accum_steps.size());
     if (simulated != n->accum_count) {
       std::ostringstream out;
@@ -155,7 +140,6 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
     b.is_root = n == root;
     b.size_bytes = n->value.size() * kBytesPerElem;
     b.def_step = ni.fwd_step;  // -1 for persistent: allocated pre-tape
-    b.exec_step = ni.exec_step;
     ni.value_buf = b.id;
     plan.buffers.push_back(std::move(b));
   }
@@ -307,7 +291,6 @@ PlanVerifyReport VerifyGraphPlan(const GraphPlan& plan,
       continue;
     }
     if (!b.is_grad && b.requires_grad && !b.is_root && b.reads == 0 &&
-        !options.executor_mode &&
         !Contains(options.allowed_dead_stores, b.label)) {
       fail("[dead-store] " + who.str() +
            " is written but never read before free (computed output dropped "

@@ -2,7 +2,6 @@
 #define EMBSR_ANALYZE_GRAPH_PLAN_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,13 +15,14 @@ namespace embsr {
 namespace analyze {
 
 /// Static shape/liveness analysis and arena memory planning over recorded
-/// ag::Tape graphs — the load-bearing prerequisite for the ROADMAP item-3b
-/// arena executor. The gradcheck registry proves the gradients are right
-/// and the tape auditor proves the wiring is right; this pass proves the
-/// *memory story* is right: every node's shape re-derives from its inputs,
-/// every buffer has a sound first-def/last-use interval across forward and
-/// backward (gradient buffers and their accumulation sites included), and
-/// the resulting arena plan provably never overlaps two live intervals.
+/// ag::Tape graphs — a static estimator of a step's transient memory; no
+/// executor runs these plans. The gradcheck registry proves the gradients
+/// are right and the tape auditor proves the wiring is right; this pass
+/// proves the *memory story* is right: every node's shape re-derives from
+/// its inputs, every buffer has a sound first-def/last-use interval across
+/// forward and backward (gradient buffers and their accumulation sites
+/// included), and the resulting arena plan provably never overlaps two live
+/// intervals.
 ///
 /// Schedule model. Steps number a unified forward+backward timeline:
 ///   0 .. F-1   forward: one step per tape node, in creation order
@@ -59,15 +59,11 @@ struct PlanBuffer {
   int64_t last_read_step = -1; // last pure read (-1: never read)
   int64_t reads = 0;           // modeled read count
   std::vector<int64_t> accum_steps;  // grad buffers: accumulation sites
-  int64_t exec_step = -1;  // value buffers: the owning node's backward
-                           // execution step (-1 if its backward never runs).
-                           // The arena executor advances its conformance
-                           // clock to this step before each backward_fn.
   int64_t offset = -1;   // arena offset (first-fit); -1 when not planned
   int64_t alias_of = -1; // id of the buffer this one views (Reshape-style);
                          // -1 = owns storage. The builder never emits
-                         // aliases; the verifier vets them for the future
-                         // arena executor's in-place rewrites.
+                         // aliases; the verifier still vets them, so a
+                         // hand-built or mutated plan cannot hide one.
 };
 
 struct GraphPlanStats {
@@ -91,7 +87,8 @@ struct GraphPlan {
   int64_t planned_total_bytes = 0;
   /// Liveness peak: max over steps of simultaneously-live transient bytes.
   /// What a perfect arena would need; the headroom vs. planned_total_bytes
-  /// is the arena executor's win, tracked per model by bench_history.
+  /// is what liveness-aware allocation could save over heap execution,
+  /// tracked per model by bench_history.
   int64_t planned_peak_bytes = 0;
   /// First-fit arena size: max(offset + size). >= planned_peak_bytes; the
   /// gap is fragmentation.
@@ -107,17 +104,6 @@ struct PlanOptions {
   /// Op names whose value buffers may legitimately go unread (mirrors
   /// TapeAuditOptions::allowed_orphan_ops). Normally empty.
   std::vector<std::string> allowed_dead_stores;
-  /// Plan a forward pass with no Backward(): no gradient seed, no backward
-  /// steps, no grad buffers; end_step is the forward step count and the
-  /// root is read there (the serving / ScoreAll shape of a step).
-  bool forward_only = false;
-  /// The arena executor's planning context, which breaks two assumptions
-  /// the audit-time planner makes: persistent (parameter) gradients
-  /// accumulate across a whole mini-batch, so their runtime accum_count is
-  /// unrelated to this single step's schedule (the cross-check skips them),
-  /// and dead-store hygiene is the model audit's business, not a memory-
-  /// safety property (the verifier skips [dead-store]).
-  bool executor_mode = false;
 };
 
 /// Builds the liveness intervals and first-fit arena plan for the graph
@@ -126,16 +112,7 @@ struct PlanOptions {
 /// cross-check compares the simulated schedule against Node::accum_count).
 GraphPlan BuildGraphPlan(const ag::Variable& loss,
                          const std::vector<nn::NamedParameter>& params,
-                         const ag::Tape& tape,
-                         const PlanOptions& options = {});
-
-/// Same, over an explicitly captured node list (creation order) instead of
-/// a live Tape — the arena executor records nodes through an ExecObserver
-/// rather than opening a tape of its own.
-GraphPlan BuildGraphPlan(const ag::Variable& loss,
-                         const std::vector<nn::NamedParameter>& params,
-                         const std::vector<std::shared_ptr<ag::Node>>& recorded,
-                         const PlanOptions& options = {});
+                         const ag::Tape& tape);
 
 struct PlanVerifyReport {
   bool ok() const { return failures.empty(); }

@@ -75,8 +75,7 @@ ModelPlanOutcome RunModelPlan(const std::string& model) {
     ag::Variable loss = neural->LossOn(ex);
     loss.Backward();
     outcome.measured_peak_bytes = prof::MemSnapshot().peak_bytes - live0;
-    outcome.plan =
-        BuildGraphPlan(loss, neural->NamedParameters(), tape, options);
+    outcome.plan = BuildGraphPlan(loss, neural->NamedParameters(), tape);
     outcome.verify = VerifyGraphPlan(outcome.plan, options);
   }
   if (!outer_session) prof::Stop();

@@ -39,42 +39,18 @@ void ProfileForwardNode(prof::Collector* pc, Node* node,
   pc->RecordForward(node->op, node->component, cost);
 }
 
-/// Hash of an op's scalar attributes (Node::attr_hash): FNV-1a over the raw
-/// 64-bit encodings, nonzero by construction so "has attributes" is
-/// distinguishable from "has none" in the analyze graph signature.
-uint64_t AttrHash(std::initializer_list<uint64_t> attrs) {
-  uint64_t h = 14695981039346656037ull;
-  for (uint64_t a : attrs) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (a >> (8 * i)) & 0xffull;
-      h *= 1099511628211ull;
-    }
-  }
-  return h == 0 ? 1 : h;
-}
-
-uint64_t AttrBits(float v) {
-  uint32_t u;
-  std::memcpy(&u, &v, sizeof(u));
-  return u;
-}
-
 /// Builds the output node. Records parents and the backward closure only when
 /// some input requires grad, so inference-only forward passes build no graph.
 /// `op` must be a string literal naming the public op (it is stored on the
-/// node and shown by the analyze tooling). Ops with scalar attributes that
-/// change the computation without changing shapes or topology pass an
-/// AttrHash so graph signatures keep them apart.
+/// node and shown by the analyze tooling).
 Variable MakeOp(const char* op, Tensor value, std::vector<Variable> inputs,
-                std::function<void(Node*)> backward,
-                uint64_t attr_hash = 0) {
+                std::function<void(Node*)> backward) {
   // Contract: no op may produce NaN/Inf. Checking the single funnel point
   // catches a numeric blow-up at the op that created it rather than ten ops
   // downstream in the loss. (No-op unless EMBSR_CHECK_CONTRACTS.)
   EMBSR_CHECK_FINITE(value);
   auto node = std::make_shared<Node>();
   node->op = op;
-  node->attr_hash = attr_hash;
   node->value = std::move(value);
   bool rg = false;
   for (const auto& v : inputs) {
@@ -196,17 +172,15 @@ Variable MulColBroadcast(const Variable& a, const Variable& col) {
 
 Variable Scale(const Variable& a, float s) {
   auto an = a.node();
-  return MakeOp(
-      "Scale", embsr::Scale(a.value(), s), {a},
-      [an, s](Node* out) { AccumIfNeeded(an, embsr::Scale(out->grad, s)); },
-      AttrHash({AttrBits(s)}));
+  return MakeOp("Scale", embsr::Scale(a.value(), s), {a}, [an, s](Node* out) {
+    AccumIfNeeded(an, embsr::Scale(out->grad, s));
+  });
 }
 
 Variable AddScalar(const Variable& a, float s) {
   auto an = a.node();
   return MakeOp("AddScalar", embsr::AddScalar(a.value(), s), {a},
-                [an](Node* out) { AccumIfNeeded(an, out->grad); },
-                AttrHash({AttrBits(s)}));
+                [an](Node* out) { AccumIfNeeded(an, out->grad); });
 }
 
 Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
@@ -376,9 +350,7 @@ Variable SliceRows(const Variable& a, int64_t begin, int64_t end) {
                   std::memcpy(ga.data() + begin * d, out->grad.data(),
                               sizeof(float) * (end - begin) * d);
                   an->AccumulateGrad(ga);
-                },
-                AttrHash({static_cast<uint64_t>(begin),
-                          static_cast<uint64_t>(end)}));
+                });
 }
 
 Variable Row(const Variable& a, int64_t r) { return SliceRows(a, r, r + 1); }
@@ -500,15 +472,12 @@ Variable RepeatRow(const Variable& a, int64_t n) {
     std::memcpy(out.data() + i * d, a.value().data(), sizeof(float) * d);
   }
   auto an = a.node();
-  return MakeOp(
-      "RepeatRow", std::move(out), {a},
-      [an](Node* o) {
-        if (!an->requires_grad) return;
-        Tensor g = embsr::SumRowsTo1xD(o->grad);
-        // lint: allow(raw-resize): same-count rank fixup, copies
-        an->AccumulateGrad(g.Reshape(an->value.shape()));
-      },
-      AttrHash({static_cast<uint64_t>(n)}));
+  return MakeOp("RepeatRow", std::move(out), {a}, [an](Node* o) {
+    if (!an->requires_grad) return;
+    Tensor g = embsr::SumRowsTo1xD(o->grad);
+    // lint: allow(raw-resize): same-count rank fixup, copies
+    an->AccumulateGrad(g.Reshape(an->value.shape()));
+  });
 }
 
 Variable L2NormalizeRowsOp(const Variable& a) {
@@ -580,7 +549,7 @@ Variable LayerNormRows(const Variable& a, float eps) {
       }
     }
     an->AccumulateGrad(ga);
-  }, AttrHash({AttrBits(eps)}));
+  });
 }
 
 Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
@@ -597,7 +566,7 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
   auto an = a.node();
   return MakeOp("Dropout", std::move(out), {a}, [an, mask](Node* o) {
     AccumIfNeeded(an, embsr::Mul(o->grad, mask));
-  }, AttrHash({AttrBits(p)}));
+  });
 }
 
 Variable SoftmaxCrossEntropy(const Variable& logits,

@@ -1,7 +1,5 @@
 #include "autograd/tape.h"
 
-#include "autograd/exec_observer.h"
-
 namespace embsr {
 namespace ag {
 
@@ -17,7 +15,6 @@ Tape* Tape::Active() { return t_active_tape; }
 
 void Tape::Record(const std::shared_ptr<Node>& node) {
   if (t_active_tape != nullptr) t_active_tape->nodes_.push_back(node);
-  if (ExecObserver* eo = ExecObserver::Active()) eo->OnNodeRecorded(node);
 }
 
 }  // namespace ag

@@ -2,7 +2,6 @@
 
 #include <unordered_set>
 
-#include "autograd/exec_observer.h"
 #include "autograd/tape.h"
 #include "obs/trace.h"
 #include "prof/op_profiler.h"
@@ -16,9 +15,6 @@ void Node::AccumulateGrad(const Tensor& g) {
   if (!grad_ready) {
     grad = g;
     grad_ready = true;
-    // First seat: the arena executor reseats the fresh grad buffer at its
-    // planned offset before any further accumulation or read touches it.
-    if (ExecObserver* eo = ExecObserver::Active()) eo->OnGradSeated(this);
   } else {
     grad.AddInPlace(g);
   }
@@ -77,8 +73,6 @@ void Variable::Backward() const {
 
   const std::vector<Node*> order = BackwardPostOrder(*this);
 
-  ExecObserver* eo = ExecObserver::Active();
-  if (eo != nullptr) eo->OnBackwardSeed(node_.get());
   node_->AccumulateGrad(Tensor::Full(node_->value.shape(), 1.0f));
 
   // `order` is post-order (children first); iterate from the back so each
@@ -87,7 +81,6 @@ void Variable::Backward() const {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node* n = *it;
     if (n->backward_fn && n->grad_ready) {
-      if (eo != nullptr) eo->OnBackwardOp(n);
       if (pc != nullptr) {
         const int64_t t0 = prof::NowNs();
         n->backward_fn(n);

@@ -31,11 +31,6 @@ struct Node {
   /// recorded; set only while profiling, so backward time lands in the same
   /// component bucket as forward time. Null or a string literal.
   const char* component = nullptr;
-  /// Hash of the op's non-shape scalar attributes (Scale's factor,
-  /// SliceRows' bounds, ...), folded into the analyze graph signature so
-  /// two graphs that differ only in an attribute never share a cached
-  /// arena plan. 0 = the op has no attributes.
-  uint64_t attr_hash = 0;
   /// Gradient accumulations received since construction / the last
   /// ZeroGrad. The tape auditor (src/analyze) checks this against graph
   /// fan-out: after one backward pass it must equal the number of consumer

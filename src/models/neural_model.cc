@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
-#include "arena/arena.h"
 #include "data/preprocess.h"
 #include "metrics/metrics.h"
 #include "obs/run_logger.h"
@@ -29,55 +27,6 @@ namespace {
 // that makes checkpoint resume replay the uninterrupted schedule exactly.
 constexpr uint64_t kSubsampleSalt = 0x5AB5A17ULL;
 constexpr uint64_t kEpochShuffleSalt = 0xE90C45ULL;
-
-// Arena step keys. A key names a (model, input-structure) equivalence
-// class: two steps with equal keys must build identically-shaped graphs, so
-// one step's verified memory plan replays for the other. The hash covers
-// the *skeleton* of the example — sequence lengths, per-item operation
-// counts, distinct-node counts (what GNN adjacency shapes derive from) —
-// and never item identities, which only change tensor contents. A key that
-// turns out to under-split (a model with data-dependent topology) merely
-// strikes and blacklists itself to heap execution; it cannot corrupt a step.
-uint64_t ExampleStructureHash(const Example& ex) {
-  uint64_t h = analyze::kFnvOffsetBasis;
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(ex.macro_items.size()));
-  for (const auto& ops : ex.macro_ops) {
-    h = analyze::HashMixU64(h, static_cast<uint64_t>(ops.size()));
-  }
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(ex.flat_items.size()));
-  std::unordered_set<int64_t> unique_items(ex.macro_items.begin(),
-                                           ex.macro_items.end());
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(unique_items.size()));
-  std::unordered_set<int64_t> unique_pairs;
-  for (size_t i = 0; i < ex.flat_items.size(); ++i) {
-    const int64_t op = i < ex.flat_ops.size() ? ex.flat_ops[i] : 0;
-    unique_pairs.insert((ex.flat_items[i] << 8) ^ op);
-  }
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(unique_pairs.size()));
-  return h;
-}
-
-uint64_t BatchStructureHash(const SessionBatch& batch) {
-  uint64_t h = analyze::kFnvOffsetBasis;
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(batch.batch));
-  h = analyze::HashMixU64(h, static_cast<uint64_t>(batch.max_len));
-  for (const Example* ex : batch.examples) {
-    h = analyze::HashMixU64(h, ExampleStructureHash(*ex));
-  }
-  return h;
-}
-
-std::string ArenaKey(const std::string& model, const char* kind,
-                     int64_t num_items, const TrainConfig& cfg, uint64_t h) {
-  // Model dimensions ride along so two instances of the same architecture
-  // with different configs never share a plan.
-  uint64_t c = analyze::HashMixU64(
-      analyze::kFnvOffsetBasis, static_cast<uint64_t>(num_items));
-  c = analyze::HashMixU64(c, static_cast<uint64_t>(cfg.embedding_dim));
-  c = analyze::HashMixU64(c, static_cast<uint64_t>(cfg.max_positions));
-  return model + "|" + kind + "|" + std::to_string(c) + "|" +
-         std::to_string(h);
-}
 
 bool AllFinite(const std::vector<Tensor>& tensors) {
   for (const Tensor& t : tensors) {
@@ -231,10 +180,6 @@ Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
               order.begin() + static_cast<ptrdiff_t>(i),
               order.begin() + static_cast<ptrdiff_t>(sub_end));
           const SessionBatch sb = CollateSessions(chunk, cfg_.max_positions);
-          // Declared before the loss so the chunk's graph (and any arena
-          // views inside it) dies before the scope closes.
-          arena::StepScope arena_step(ArenaKey(
-              name_, "bt", num_items_, cfg_, BatchStructureHash(sb)));
           ag::Variable loss = BatchedLossOn(sb);
           const float chunk_n = static_cast<float>(sub_end - i);
           // BatchedLossOn is the chunk *mean*; batch_loss accumulates
@@ -248,8 +193,6 @@ Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
           // One profiler step = one example's forward + backward; the per-op
           // attributed times must sum to this span (prof_test pins it).
           prof::StepScope prof_step;
-          arena::StepScope arena_step(ArenaKey(
-              name_, "t", num_items_, cfg_, ExampleStructureHash(*order[i])));
           ag::Variable loss = LossOn(*order[i]);
           batch_loss += loss.value().at(0);
           // Scale so accumulated gradients equal the batch-mean gradient.
@@ -422,11 +365,7 @@ std::vector<std::vector<float>> NeuralSessionModel::ScoreBatch(
   // set, so concurrent eval-mode calls stay read-only.
   const bool was_training = training();
   if (was_training) SetTraining(false);
-  arena::StepScope arena_step(
-      ArenaKey(name_, "be", num_items_, cfg_, BatchStructureHash(batch)),
-      /*forward_only=*/true);
   ag::Variable logits = BatchedLogits(batch);
-  arena_step.SetRoot(logits);
   if (was_training) SetTraining(true);
   const Tensor& v = logits.value();
   EMBSR_CHECK_EQ(v.rows(), batch.batch);
@@ -451,20 +390,10 @@ std::vector<float> NeuralSessionModel::ScoreAll(const Example& ex) {
   // state the parallel evaluator pins via EnsureEvalMode() — this method
   // must not write any shared model state: concurrent ScoreAll calls from
   // evaluator threads rely on the forward pass being read-only.
-  arena::StepScope arena_step(
-      ArenaKey(name_, "e", num_items_, cfg_, ExampleStructureHash(ex)),
-      /*forward_only=*/true);
-  if (training()) {
-    SetTraining(false);
-    ag::Variable logits = Logits(ex);
-    SetTraining(true);
-    arena_step.SetRoot(logits);
-    const Tensor& v = logits.value();
-    EMBSR_CHECK_EQ(v.size(), num_items_);
-    return v.vec();
-  }
+  const bool was_training = training();
+  if (was_training) SetTraining(false);
   ag::Variable logits = Logits(ex);
-  arena_step.SetRoot(logits);
+  if (was_training) SetTraining(true);
   const Tensor& v = logits.value();
   EMBSR_CHECK_EQ(v.size(), num_items_);
   return v.vec();

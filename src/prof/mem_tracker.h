@@ -62,8 +62,8 @@ struct MemStats {
 MemStats MemSnapshot();
 
 /// One allocation/free event; `delta_bytes` is signed (negative = free),
-/// `live_bytes` is the post-event global watermark. This is the size +
-/// lifetime stream the ROADMAP-item-3 arena planner consumes.
+/// `live_bytes` is the post-event global watermark: the measured size +
+/// lifetime stream that analyze/graph_plan estimates statically.
 struct MemEvent {
   int64_t ts_ns = 0;  // NowNs() at event time
   int64_t delta_bytes = 0;

@@ -1,140 +1,31 @@
 #include "tensor/buffer_pool.h"
 
-#include <array>
 #include <cstddef>
-#include <utility>
-#include <vector>
 
 namespace embsr {
 namespace tensor_pool {
 
 namespace {
 
-/// Keep at most this many parked bytes per thread; beyond it, released
-/// buffers just die. Far above any zoo working set, far below trouble.
-constexpr int64_t kMaxCachedBytes = int64_t{64} << 20;
+thread_local int64_t t_heap_acquires = 0;
 
-/// Buffers park in power-of-two size classes: class c holds capacities in
-/// [2^c, 2^(c+1)). Acquire pops from the class that guarantees the fit,
-/// Release pushes onto the class its capacity fills — both O(1), which is
-/// what keeps a 10k-buffer graph step linear in its buffer count instead
-/// of quadratic (a flat sorted free list shifts half the pool per call).
-constexpr int kMinClassBits = 6;  // 64 floats = 256 B; smaller isn't worth parking
-constexpr int kNumClasses = 26;   // up to 2^31 floats, far past kMaxCachedBytes
-
-/// Smallest class whose every member fits a request of n floats.
-int ClassForRequest(int64_t n) {
-  int c = kMinClassBits;
-  while (c < kMinClassBits + kNumClasses - 1 && (int64_t{1} << c) < n) ++c;
-  return c - kMinClassBits;
-}
-
-/// Largest class whose guarantee (capacity >= 2^c) this capacity honours;
-/// -1 when the buffer is too small to park.
-int ClassForCapacity(size_t cap) {
-  if (cap < (size_t{1} << kMinClassBits)) return -1;
-  int c = kMinClassBits;
-  while (c + 1 < kMinClassBits + kNumClasses &&
-         (size_t{1} << (c + 1)) <= cap) {
-    ++c;
-  }
-  return c - kMinClassBits;
-}
-
-struct Pool {
-  bool enabled = false;
-  int64_t cached_bytes = 0;
-  int64_t heap_acquires = 0;
-  // LIFO per class: the most recently released buffer is the hottest.
-  std::array<std::vector<std::vector<float>>, kNumClasses> classes;
-};
-
-Pool& ThisPool() {
-  thread_local Pool pool;
-  return pool;
-}
-
-/// Round a heap acquisition up to its class boundary (when that does not
-/// overshoot a clamped request): every buffer that later cycles through the
-/// pool then has an exact class capacity, so steady-state traffic always
-/// finds its match in the first class probed and HeapAcquires() reaches a
-/// fixed point after one warm-up step.
-void ReserveClass(Pool* p, std::vector<float>* out, int64_t n) {
-  if (!p->enabled) return;
-  const size_t cls = size_t{1} << (ClassForRequest(n) + kMinClassBits);
-  if (cls >= static_cast<size_t>(n)) out->reserve(cls);
-}
-
-/// Pull a parked buffer guaranteed to hold n floats into *out; returns
-/// false (leaving *out alone) when every fitting class is empty.
-bool TakeFrom(Pool* p, std::vector<float>* out, int64_t n) {
-  const int first = ClassForRequest(n);
-  for (int c = first; c < kNumClasses; ++c) {
-    std::vector<std::vector<float>>& bucket =
-        p->classes[static_cast<size_t>(c)];
-    if (bucket.empty()) continue;
-    p->cached_bytes -=
-        static_cast<int64_t>(bucket.back().capacity() * sizeof(float));
-    *out = std::move(bucket.back());
-    bucket.pop_back();
-    return true;
-  }
-  return false;
+void CountIfShort(const std::vector<float>& out, int64_t n) {
+  if (out.capacity() < static_cast<size_t>(n)) ++t_heap_acquires;
 }
 
 }  // namespace
 
-bool Enabled() { return ThisPool().enabled; }
-
-void Enable() { ThisPool().enabled = true; }
-
 void Acquire(std::vector<float>* out, int64_t n, float fill) {
-  Pool& p = ThisPool();
-  if (p.enabled && out->capacity() < static_cast<size_t>(n)) {
-    TakeFrom(&p, out, n);
-  }
-  if (out->capacity() < static_cast<size_t>(n)) {
-    ++p.heap_acquires;
-    ReserveClass(&p, out, n);
-  }
+  CountIfShort(*out, n);
   out->assign(static_cast<size_t>(n), fill);
 }
 
 void AcquireCopy(std::vector<float>* out, const float* src, int64_t n) {
-  Pool& p = ThisPool();
-  if (p.enabled && out->capacity() < static_cast<size_t>(n)) {
-    TakeFrom(&p, out, n);
-  }
-  if (out->capacity() < static_cast<size_t>(n)) {
-    ++p.heap_acquires;
-    ReserveClass(&p, out, n);
-  }
+  CountIfShort(*out, n);
   out->assign(src, src + n);
 }
 
-void Release(std::vector<float>* v) {
-  Pool& p = ThisPool();
-  if (!p.enabled || v->capacity() == 0) return;
-  const int c = ClassForCapacity(v->capacity());
-  if (c < 0) return;
-  const int64_t bytes = static_cast<int64_t>(v->capacity() * sizeof(float));
-  if (p.cached_bytes + bytes > kMaxCachedBytes) return;
-  p.classes[static_cast<size_t>(c)].push_back(std::move(*v));
-  p.cached_bytes += bytes;
-}
-
-int64_t HeapAcquires() { return ThisPool().heap_acquires; }
-
-int64_t CachedBytes() { return ThisPool().cached_bytes; }
-
-void DrainForTesting() {
-  Pool& p = ThisPool();
-  for (auto& bucket : p.classes) {
-    bucket.clear();
-    bucket.shrink_to_fit();
-  }
-  p.cached_bytes = 0;
-}
+int64_t HeapAcquires() { return t_heap_acquires; }
 
 }  // namespace tensor_pool
 }  // namespace embsr

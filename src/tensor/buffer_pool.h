@@ -7,44 +7,22 @@
 namespace embsr {
 namespace tensor_pool {
 
-/// Thread-local recycling pool for Tensor storage vectors, the second half
-/// of the arena executor's zero-steady-state-allocation story (DESIGN.md
-/// §17): the arena absorbs the planned graph buffers, and this pool absorbs
-/// everything else a step still materializes on the heap (kernel outputs
-/// before placement, optimizer temporaries, the fallback path). Disabled —
-/// completely inert, no behavior change — until the first arena StepScope
-/// on the thread calls Enable(); from then on every released Tensor buffer
-/// parks here and every acquisition is served from the pool when a large-
-/// enough buffer exists.
-///
-/// Recycled buffers are handed back with assign()-initialized contents, so
-/// a pooled acquisition is bit-identical to a fresh allocation; the memory
-/// profiler's OnTensorAlloc/OnTensorFree accounting is untouched (prof
-/// tracks logical tensor lifetimes, the pool only hides the malloc). The
-/// free list is a capacity-sorted flat vector — steady-state acquire and
-/// release shift vector handles around without touching malloc, which is
-/// what lets HeapAcquires() reach a fixed point after warm-up.
-bool Enabled();
-void Enable();
+/// Counts tensor storage allocations. Tensor constructors and copies fill
+/// their storage vectors through Acquire/AcquireCopy, which reuse the
+/// destination's capacity when it fits (as std::vector::assign does) and
+/// allocate otherwise. HeapAcquires() is the per-thread number of
+/// acquisitions that had to grow their destination: the "tensor heap
+/// allocations per step" figure the end-to-end benchmark reports. Contents
+/// are assign()-filled, so an acquisition is bit-identical to constructing
+/// the vector directly.
 
-/// Serve `out` with n elements, every one set to `fill` (or copied from
+/// Fill `out` with n elements, every one set to `fill` (or copied from
 /// `src`). `out` is overwritten.
 void Acquire(std::vector<float>* out, int64_t n, float fill);
 void AcquireCopy(std::vector<float>* out, const float* src, int64_t n);
 
-/// Park a dying buffer's storage for reuse (no-op when disabled or full).
-void Release(std::vector<float>* v);
-
-/// Number of times an Acquire on this thread had to grow a buffer on the
-/// real heap — the "tensor heap allocations per step" the arena bench and
-/// tests assert hits zero once a step's working set has been seen.
+/// Acquisitions on this thread whose destination capacity was short of n.
 int64_t HeapAcquires();
-
-/// Bytes currently parked on this thread (diagnostics).
-int64_t CachedBytes();
-
-/// Drop every parked buffer on this thread (tests isolate with this).
-void DrainForTesting();
 
 }  // namespace tensor_pool
 }  // namespace embsr

@@ -81,12 +81,6 @@ Tensor Tensor::RandUniform(std::vector<int64_t> shape, float lo, float hi,
   return t;
 }
 
-Tensor Tensor::FromArenaView(ArenaView* view, std::vector<int64_t> shape) {
-  EMBSR_CHECK(view != nullptr);
-  EMBSR_CHECK_EQ(ShapeSize(shape), view->elems);
-  return Tensor(view, std::move(shape));
-}
-
 int64_t Tensor::dim(int64_t axis) const {
   EMBSR_CHECK_GE(axis, 0);
   EMBSR_CHECK_LT(axis, ndim());
@@ -108,13 +102,13 @@ int64_t Tensor::cols() const {
 float Tensor::at(int64_t i) const {
   EMBSR_CHECK_GE(i, 0);
   EMBSR_CHECK_LT(i, size());
-  return data()[i];
+  return data_[i];
 }
 
 float& Tensor::at(int64_t i) {
   EMBSR_CHECK_GE(i, 0);
   EMBSR_CHECK_LT(i, size());
-  return data()[i];
+  return data_[i];
 }
 
 float Tensor::at2(int64_t i, int64_t j) const {
@@ -123,7 +117,7 @@ float Tensor::at2(int64_t i, int64_t j) const {
   EMBSR_CHECK_LT(i, shape_[0]);
   EMBSR_CHECK_GE(j, 0);
   EMBSR_CHECK_LT(j, shape_[1]);
-  return data()[i * shape_[1] + j];
+  return data_[i * shape_[1] + j];
 }
 
 float& Tensor::at2(int64_t i, int64_t j) {
@@ -132,16 +126,13 @@ float& Tensor::at2(int64_t i, int64_t j) {
   EMBSR_CHECK_LT(i, shape_[0]);
   EMBSR_CHECK_GE(j, 0);
   EMBSR_CHECK_LT(j, shape_[1]);
-  return data()[i * shape_[1] + j];
+  return data_[i * shape_[1] + j];
 }
 
 bool Tensor::AllClose(const Tensor& other, float tol) const {
   if (shape_ != other.shape_) return false;
-  const float* a = data();
-  const float* b = other.data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) {
-    if (std::fabs(a[i] - b[i]) > tol) return false;
+  for (size_t i = 0; i < data_.size(); ++i) {
+    if (std::fabs(data_[i] - other.data_[i]) > tol) return false;
   }
   return true;
 }
@@ -160,11 +151,10 @@ std::string Tensor::ShapeString() const {
 std::string Tensor::ToString(int64_t max_elems) const {
   std::ostringstream out;
   out << "Tensor" << ShapeString() << " {";
-  const float* p = data();
   int64_t n = std::min<int64_t>(size(), max_elems);
   for (int64_t i = 0; i < n; ++i) {
     if (i > 0) out << ", ";
-    out << p[i];
+    out << data_[i];
   }
   if (n < size()) out << ", ...";
   out << "}";
@@ -173,12 +163,12 @@ std::string Tensor::ToString(int64_t max_elems) const {
 
 Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
   EMBSR_CHECK_EQ(ShapeSize(new_shape), size());
-  // Built via the pooled shape constructor — not by assigning the private
-  // members of a default Tensor — so the memory profiler counts the buffer
-  // at its real size (the flag set by Tensor() would otherwise cover a
-  // 1-element buffer that the destructor frees at full size).
+  // Built via the shape constructor — not by assigning the private members
+  // of a default Tensor — so the memory profiler counts the buffer at its
+  // real size (the flag set by Tensor() would otherwise cover a 1-element
+  // buffer that the destructor frees at full size).
   Tensor t(std::move(new_shape));
-  std::memcpy(t.data_.data(), data(), sizeof(float) * size());
+  std::memcpy(t.data_.data(), data_.data(), sizeof(float) * size());
   return t;
 }
 
@@ -186,10 +176,9 @@ Tensor Tensor::Transposed() const {
   EMBSR_CHECK_EQ(ndim(), 2);
   const int64_t n = shape_[0], m = shape_[1];
   Tensor t({m, n});
-  const float* src = data();
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < m; ++j) {
-      t.data_[j * n + i] = src[i * m + j];
+      t.data_[j * n + i] = data_[i * m + j];
     }
   }
   return t;
@@ -201,7 +190,7 @@ Tensor Tensor::SliceRows(int64_t begin, int64_t end) const {
   if (ndim() == 1) {
     EMBSR_CHECK_LE(end, shape_[0]);
     Tensor t({end - begin});
-    std::memcpy(t.data_.data(), data() + begin,
+    std::memcpy(t.data_.data(), data_.data() + begin,
                 sizeof(float) * (end - begin));
     return t;
   }
@@ -209,7 +198,7 @@ Tensor Tensor::SliceRows(int64_t begin, int64_t end) const {
   EMBSR_CHECK_LE(end, shape_[0]);
   const int64_t d = shape_[1];
   Tensor t({end - begin, d});
-  std::memcpy(t.data_.data(), data() + begin * d,
+  std::memcpy(t.data_.data(), data_.data() + begin * d,
               sizeof(float) * (end - begin) * d);
   return t;
 }
@@ -218,50 +207,35 @@ Tensor Tensor::Row(int64_t r) const { return SliceRows(r, r + 1); }
 
 Tensor& Tensor::AddInPlace(const Tensor& other) {
   EMBSR_CHECK(shape_ == other.shape_);
-  float* p = data();
-  const float* q = other.data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) p[i] += q[i];
+  for (size_t i = 0; i < data_.size(); ++i) data_[i] += other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::SubInPlace(const Tensor& other) {
   EMBSR_CHECK(shape_ == other.shape_);
-  float* p = data();
-  const float* q = other.data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) p[i] -= q[i];
+  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::MulInPlace(const Tensor& other) {
   EMBSR_CHECK(shape_ == other.shape_);
-  float* p = data();
-  const float* q = other.data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) p[i] *= q[i];
+  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
   return *this;
 }
 
 Tensor& Tensor::ScaleInPlace(float s) {
-  float* p = data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) p[i] *= s;
+  for (auto& x : data_) x *= s;
   return *this;
 }
 
 Tensor& Tensor::Fill(float value) {
-  float* p = data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) p[i] = value;
+  for (auto& x : data_) x = value;
   return *this;
 }
 
 float Tensor::L2Norm() const {
   double acc = 0.0;
-  const float* p = data();
-  const int64_t n = size();
-  for (int64_t i = 0; i < n; ++i) acc += static_cast<double>(p[i]) * p[i];
+  for (float x : data_) acc += static_cast<double>(x) * x;
   return static_cast<float>(std::sqrt(acc));
 }
 

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "prof/mem_tracker.h"
-#include "tensor/arena_view.h"
 #include "tensor/buffer_pool.h"
 #include "util/rng.h"
 
@@ -48,14 +47,6 @@ class Tensor {
   static Tensor RandUniform(std::vector<int64_t> shape, float lo, float hi,
                             Rng* rng);
 
-  /// Adopts storage inside the arena executor's planned block: the tensor
-  /// owns no bytes, and every data()/size() routes through the view (and
-  /// its lifetime-conformance sentinel). The view must outlive the tensor's
-  /// *accesses* — the executor guarantees slot memory stays alive for the
-  /// thread and stamps `generation` so post-step escapes die loudly instead
-  /// of reading a recycled slot. shape must match the view's element count.
-  static Tensor FromArenaView(ArenaView* view, std::vector<int64_t> shape);
-
   // -- Special members --------------------------------------------------------
   // Spelled out (rule of five) so the memory profiler sees every buffer
   // acquisition and release; when profiling is off each alloc hook is one
@@ -63,20 +54,11 @@ class Tensor {
   // counted flag (DESIGN.md §13). The flag travels with the buffer: moves
   // transfer it (and explicitly empty the source) so the byte accounting
   // matches ownership exactly, and a tensor allocated before prof::Start()
-  // is never subtracted from a session it was never added to.
+  // is never subtracted from a session it was never added to. Copies fill
+  // their storage through tensor_pool so HeapAcquires() counts the ones
+  // that had to grow it.
 
-  // Arena-view tensors (view_ != nullptr) own no storage: their destructor
-  // releases nothing and prof never counted them (the executor accounts the
-  // arena block as a whole). Heap tensors release through the recycling
-  // pool, which is inert until an arena step enables it on the thread.
-  // Copying *from* a view materializes a deep heap copy through the view's
-  // sentinel gate, so an expired source is caught, not silently duplicated.
-
-  ~Tensor() {
-    if (view_ != nullptr) return;  // the arena owns the bytes
-    prof::OnTensorFree(size(), prof_counted_);
-    tensor_pool::Release(&data_);
-  }
+  ~Tensor() { prof::OnTensorFree(size(), prof_counted_); }
 
   Tensor(const Tensor& other) : shape_(other.shape_) {
     tensor_pool::AcquireCopy(&data_, other.data(), other.size());
@@ -85,11 +67,7 @@ class Tensor {
 
   Tensor& operator=(const Tensor& other) {
     if (this != &other) {
-      if (view_ != nullptr) {
-        view_ = nullptr;
-      } else {
-        prof::OnTensorFree(size(), prof_counted_);
-      }
+      prof::OnTensorFree(size(), prof_counted_);
       shape_ = other.shape_;
       tensor_pool::AcquireCopy(&data_, other.data(), other.size());
       prof_counted_ = prof::OnTensorAlloc(size());
@@ -100,30 +78,21 @@ class Tensor {
   Tensor(Tensor&& other) noexcept
       : shape_(std::move(other.shape_)),
         data_(std::move(other.data_)),
-        prof_counted_(other.prof_counted_),
-        view_(other.view_),
-        view_gen_(other.view_gen_) {
+        prof_counted_(other.prof_counted_) {
     other.shape_.clear();
     other.data_.clear();
     other.prof_counted_ = false;
-    other.view_ = nullptr;
   }
 
   Tensor& operator=(Tensor&& other) noexcept {
     if (this != &other) {
-      if (view_ == nullptr) {
-        prof::OnTensorFree(size(), prof_counted_);
-        tensor_pool::Release(&data_);
-      }
+      prof::OnTensorFree(size(), prof_counted_);
       shape_ = std::move(other.shape_);
       data_ = std::move(other.data_);
       prof_counted_ = other.prof_counted_;
-      view_ = other.view_;
-      view_gen_ = other.view_gen_;
       other.shape_.clear();
       other.data_.clear();
       other.prof_counted_ = false;
-      other.view_ = nullptr;
     }
     return *this;
   }
@@ -132,29 +101,15 @@ class Tensor {
 
   const std::vector<int64_t>& shape() const { return shape_; }
   int64_t ndim() const { return static_cast<int64_t>(shape_.size()); }
-  int64_t size() const {
-    return view_ != nullptr ? view_->elems
-                            : static_cast<int64_t>(data_.size());
-  }
+  int64_t size() const { return static_cast<int64_t>(data_.size()); }
   int64_t dim(int64_t axis) const;
   /// Number of rows / columns; requires rank <= 2 (rank-1 is a single row).
   int64_t rows() const;
   int64_t cols() const;
 
-  bool is_arena_view() const { return view_ != nullptr; }
-
-  const float* data() const {
-    return view_ != nullptr ? CheckedViewData() : data_.data();
-  }
-  float* data() { return view_ != nullptr ? CheckedViewData() : data_.data(); }
-  const std::vector<float>& vec() const {
-    // Roots the arena never places (loss, logits) are the only tensors read
-    // this way; a view here means the placement policy regressed.
-    EMBSR_CHECK_MSG(view_ == nullptr,
-                    "vec() on an arena-placed tensor ('%s'): arena views "
-                    "expose data()/size() only", view_->label);
-    return data_;
-  }
+  const float* data() const { return data_.data(); }
+  float* data() { return data_.data(); }
+  const std::vector<float>& vec() const { return data_; }
 
   float at(int64_t i) const;
   float& at(int64_t i);
@@ -190,25 +145,11 @@ class Tensor {
   float L2Norm() const;
 
  private:
-  /// View adoption (FromArenaView): no storage, no prof accounting.
-  Tensor(ArenaView* view, std::vector<int64_t> shape)
-      : shape_(std::move(shape)), view_(view), view_gen_(view->generation) {}
-
-  float* CheckedViewData() const {
-    EMBSR_CHECK_MSG(view_->generation == view_gen_,
-                    "[use-after-free] arena view slot for '%s' was recycled "
-                    "under a tensor that escaped its step scope",
-                    view_->label);
-    return ArenaViewData(view_);
-  }
-
   std::vector<int64_t> shape_;
   std::vector<float> data_;
   // Whether the memory profiler counted this buffer at allocation; handed
   // back to prof::OnTensorFree so only counted buffers are subtracted.
   bool prof_counted_ = false;
-  ArenaView* view_ = nullptr;
-  uint64_t view_gen_ = 0;
 };
 
 // -- Out-of-place kernels -------------------------------------------------------

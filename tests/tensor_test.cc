@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tensor/buffer_pool.h"
+
 namespace embsr {
 namespace {
 
@@ -103,6 +105,28 @@ TEST(TensorTest, InPlaceOps) {
 TEST(TensorTest, L2Norm) {
   Tensor t({2, 2}, {3, 0, 0, 4});
   EXPECT_FLOAT_EQ(t.L2Norm(), 5.0f);
+}
+
+// tensor_pool::HeapAcquires() counts acquisitions whose destination had to
+// grow; the end-to-end benchmark reports its per-step delta.
+TEST(TensorTest, HeapAcquiresCountsOnlyShortDestinations) {
+  constexpr int64_t n = 96;
+  const Tensor src({n}, 2.0f);
+
+  int64_t before = tensor_pool::HeapAcquires();
+  Tensor fresh({n});
+  EXPECT_EQ(tensor_pool::HeapAcquires() - before, 1);
+
+  before = tensor_pool::HeapAcquires();
+  fresh = src;  // already holds n floats: reused in place
+  EXPECT_EQ(tensor_pool::HeapAcquires() - before, 0);
+  EXPECT_FLOAT_EQ(fresh.at(n - 1), 2.0f);
+
+  Tensor smaller({n / 2});
+  before = tensor_pool::HeapAcquires();
+  smaller = src;  // short of n: grows on the heap
+  EXPECT_EQ(tensor_pool::HeapAcquires() - before, 1);
+  EXPECT_EQ(smaller.size(), n);
 }
 
 TEST(TensorKernels, ElementwiseBinary) {
