@@ -27,7 +27,7 @@ deterministic, so growth past the threshold is a real graph change, not
 noise — and unlike wall time it is not gated on --min-seconds.
 
 Throughput scalars run the check in the inverse direction: for every
-`sessions_per_sec*` scalar (BENCH_batch_throughput.json) a *drop* beyond
+`sessions_per_sec*` scalar (BENCH_batch_smoke.json) a *drop* beyond
 the threshold is the regression, since higher is better there.
 
 Exit codes: 0 clean, 1 regression found (check), 2 usage/IO error.
@@ -347,10 +347,10 @@ def self_test():
 
         # A sessions/sec *drop* is a regression (inverse direction)...
         slowed = [
-            {"commit": "x", "benches": {"batch_throughput": {
+            {"commit": "x", "benches": {"batch_smoke": {
                 "wall_seconds": 0.01, "threads": 1, "bench_scale": 1.0,
                 "scalars": {"sessions_per_sec/EMBSR/b32": 1000.0}}}},
-            {"commit": "y", "benches": {"batch_throughput": {
+            {"commit": "y", "benches": {"batch_smoke": {
                 "wall_seconds": 0.01, "threads": 1, "bench_scale": 1.0,
                 "scalars": {"sessions_per_sec/EMBSR/b32": 400.0}}}},
         ]
@@ -358,7 +358,7 @@ def self_test():
         if not any("sessions_per_sec/EMBSR/b32" in r for r in regs):
             failures.append(f"sessions/sec drop not flagged: {regs}")
         # ...while a throughput *gain* of any size stays quiet.
-        slowed[1]["benches"]["batch_throughput"]["scalars"][
+        slowed[1]["benches"]["batch_smoke"]["scalars"][
             "sessions_per_sec/EMBSR/b32"] = 5000.0
         if check_entries(slowed, 50.0, 0.05):
             failures.append("sessions/sec gain flagged as regression")

@@ -17,15 +17,14 @@
 # declarations, so it is deterministic at every thread count — the
 # EMBSR_THREADS=4 leg exercises the same contracts under a real pool.
 #
-# Each config runs five ctest legs: the full suite, the concurrency-
-# sensitive suites re-run under a forced EMBSR_THREADS=4 pool, the
+# Each config runs four ctest legs: the full suite, the concurrency-
+# sensitive suites (BatchEquiv among them, which sets forward batch 4 and
+# 16 itself) re-run under a forced EMBSR_THREADS=4 pool, the
 # prof/par/autograd suites re-run with EMBSR_PROF=1 EMBSR_THREADS=4 so the
 # embsr::prof attribution counters race under a real pool (and under TSan
-# in the `thread` config), the ServeChaos smoke suite re-run with
+# in the `thread` config), and the ServeChaos smoke suite re-run with
 # EMBSR_FAILPOINTS armed so the serving core's degraded/retry paths are
-# exercised under each sanitizer, and the BatchEquiv suite re-run with
-# EMBSR_BATCH_SIZE=16 x EMBSR_THREADS=4 so the batched trainer/evaluator
-# paths race under a real pool.
+# exercised under each sanitizer.
 #
 # Build dirs: build-<config> (override root with EMBSR_SAN_BUILD_DIR).
 # Logs: <build dir>/ctest-<config>.log.
@@ -98,11 +97,13 @@ for config in "${configs[@]}"; do
   echo "=== [$config] ctest EMBSR_THREADS=4 (log: $par_log)"
   # ctest registers gtest-discovered names (suite.case), so the filter
   # matches the suites from par_test, kernel_equiv_test, determinism_test,
-  # obs_race_test, access_sentinel_test, graph_audit_test and
+  # obs_race_test, access_sentinel_test, graph_audit_test,
   # graph_plan_test (whose planner brackets its own prof session around
-  # parallel-kernel forward/backward passes).
+  # parallel-kernel forward/backward passes) and batch_equiv_test (the
+  # batched collator/forward/backward paths and the evaluator's chunk
+  # scheduling at forward batch 4 and 16).
   if (cd "$build_dir" && EMBSR_THREADS=4 ctest --output-on-failure \
-        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|GraphPlan)\.' \
+        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|GraphPlan|BatchEquiv)\.' \
         2>&1 | tee "$par_log"); then
     echo "=== [$config threads=4] PASS"
   else
@@ -144,26 +145,6 @@ for config in "${configs[@]}"; do
   else
     echo "=== [$config chaos] FAIL"
     failed+=("$config-chaos")
-  fi
-
-  # Fifth leg: batched execution. The BatchEquiv suite re-runs with an
-  # ambient EMBSR_BATCH_SIZE=16 and a forced 4-lane pool so the batched
-  # collator/forward/backward paths (and the Evaluator's batch scheduling)
-  # race under each sanitizer. The equivalence tests pin their own batch
-  # size via ScopedBatchSize, so the ambient value only steers the code
-  # paths that read the env default — notably Fit/Evaluate inside helpers
-  # that deliberately leave it unset.
-  batch_log="$build_dir/ctest-$config-batch.log"
-  echo "=== [$config] ctest EMBSR_BATCH_SIZE=16 EMBSR_THREADS=4" \
-       "(log: $batch_log)"
-  if (cd "$build_dir" && EMBSR_BATCH_SIZE=16 EMBSR_THREADS=4 ctest \
-        --output-on-failure \
-        -R '^BatchEquiv\.' \
-        2>&1 | tee "$batch_log"); then
-    echo "=== [$config batch] PASS"
-  else
-    echo "=== [$config batch] FAIL"
-    failed+=("$config-batch")
   fi
 done
 

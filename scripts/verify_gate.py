@@ -42,11 +42,11 @@ fault phases) and validates the BENCH_serve_chaos.json sidecar it writes —
 the gate's proof that the serving core survives chaos end to end.
 
 With --batch-equiv BIN (CMake passes the built batch_equiv_test), also
-runs the batched-execution equivalence suite — EMBSR_BATCH_SIZE=1 bitwise
-vs. the legacy per-session path, batch-{4,16} forward memcmp + tolerance
-training, ragged-edge masks, batched tape audits across the zoo — as a
-gate stage. Every test in the suite pins EMBSR_BATCH_SIZE itself, so the
-stage is meaningful under any ambient environment.
+runs the batched-execution equivalence suite — forward batch {1,4,16}
+memcmp across the neural zoo, forward_batch-{4,16} tolerance training,
+ragged-edge masks, batched tape audits across the zoo — as a gate stage.
+Every test sets TrainConfig::forward_batch itself, so no environment
+variable steers it.
 
 Exits non-zero on the first failing stage. Stdlib only.
 """
@@ -165,7 +165,7 @@ def main():
 
     if args.batch_equiv:
         run([args.batch_equiv],
-            "batch equivalence (batched vs legacy execution)")
+            "batch equivalence (forward batch 1 vs 4 and 16)")
 
     print("verify_gate: OK")
     return 0

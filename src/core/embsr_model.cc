@@ -354,10 +354,6 @@ Variable EmbsrModel::DecodeRepr(const Variable& m) {
   return MatMul(m_hat, Transpose(items_norm));
 }
 
-Variable EmbsrModel::Logits(const Example& ex) {
-  return DecodeRepr(SessionRepr(ex));
-}
-
 Variable EmbsrModel::BatchedLogits(const SessionBatch& batch) {
   using namespace ag;  // NOLINT
   std::vector<Variable> reprs;

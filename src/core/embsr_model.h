@@ -67,19 +67,16 @@ class EmbsrModel : public NeuralSessionModel {
   const EmbsrConfig& embsr_config() const { return cfg_; }
 
  protected:
-  ag::Variable Logits(const Example& ex) override;
-
   /// Batched decode: the per-session pipeline up to the fused session
   /// representation stays serial (each session owns its own multigraph),
   /// but the normalized-scoring stage — the L2 normalizations, the w_k
   /// scale and the [B, d] x [d, V] decode GEMM that dominates the forward —
-  /// runs once over the stacked representations. Bit-identical to Logits
-  /// row-wise because every decode op is row-independent.
+  /// runs once over the stacked representations. Every decode op is
+  /// row-independent, so a session's row is the same at any batch size.
   ag::Variable BatchedLogits(const SessionBatch& batch) override;
 
  private:
-  /// The fused session representation m ([1, d], Eq. 18) — Logits minus
-  /// the normalized-scoring stage.
+  /// The fused session representation m ([1, d], Eq. 18) of one session.
   ag::Variable SessionRepr(const Example& ex);
 
   /// Normalized scoring (Eq. 19) over [n, d] session representations.

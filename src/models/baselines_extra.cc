@@ -11,16 +11,6 @@ namespace embsr {
 
 using ag::Variable;
 
-namespace {
-
-template <typename T>
-std::vector<T> Tail(const std::vector<T>& v, size_t max_len) {
-  if (v.size() <= max_len) return v;
-  return std::vector<T>(v.end() - max_len, v.end());
-}
-
-}  // namespace
-
 // -- GRU4Rec --------------------------------------------------------------------
 
 Gru4Rec::Gru4Rec(int64_t num_items, int64_t num_operations,
@@ -30,15 +20,6 @@ Gru4Rec::Gru4Rec(int64_t num_items, int64_t num_operations,
       gru_(cfg.embedding_dim, cfg.embedding_dim, rng()) {
   RegisterModule("items", &items_);
   RegisterModule("gru", &gru_);
-}
-
-Variable Gru4Rec::Logits(const Example& ex) {
-  using namespace ag;  // NOLINT
-  const auto seq = Tail(ex.macro_items, config().max_positions);
-  Variable x = items_.Forward(seq);
-  x = Dropout(x, config().dropout, training(), rng());
-  Variable h = gru_.ForwardLast(x);
-  return MatMul(h, Transpose(items_.table()));
 }
 
 Variable Gru4Rec::BatchedLogits(const SessionBatch& batch) {
@@ -53,7 +34,7 @@ Variable Gru4Rec::BatchedLogits(const SessionBatch& batch) {
 // -- FPMC -----------------------------------------------------------------------
 
 Fpmc::Fpmc(int64_t num_items, int64_t num_operations, const TrainConfig& cfg)
-    : NeuralSessionModel("FPMC", num_items, num_operations, cfg),
+    : PerSessionModel("FPMC", num_items, num_operations, cfg),
       item_to_latent_(num_items, cfg.embedding_dim, rng()),
       latent_to_item_(num_items, cfg.embedding_dim, rng()) {
   RegisterModule("item_to_latent", &item_to_latent_);

@@ -20,8 +20,6 @@ class Gru4Rec : public NeuralSessionModel {
   Gru4Rec(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
  protected:
-  ag::Variable Logits(const Example& ex) override;
-
   /// Session-parallel batched forward: one embedding gather over the
   /// padded time-major items, one masked GRU unroll, one decode GEMM
   /// against the item table (transposed once per batch, not per session).
@@ -36,7 +34,7 @@ class Gru4Rec : public NeuralSessionModel {
 /// factorized first-order Markov chain. score(next = j | last = i) =
 /// <e_IL(i), e_LI(j)> with two learned embedding tables (there is no user
 /// factor because sessions are anonymous).
-class Fpmc : public NeuralSessionModel {
+class Fpmc : public PerSessionModel {
  public:
   Fpmc(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 

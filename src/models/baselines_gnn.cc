@@ -30,7 +30,7 @@ Variable NodesToSequence(const Variable& nodes, const std::vector<int>& alias) {
 
 SrGnn::SrGnn(int64_t num_items, int64_t num_operations,
              const TrainConfig& cfg)
-    : NeuralSessionModel("SR-GNN", num_items, num_operations, cfg),
+    : PerSessionModel("SR-GNN", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       ggnn_(cfg.embedding_dim, rng()),
       readout_(cfg.embedding_dim, rng()) {
@@ -56,7 +56,7 @@ Variable SrGnn::Logits(const Example& ex) {
 
 GcSan::GcSan(int64_t num_items, int64_t num_operations,
              const TrainConfig& cfg, int num_attention_layers, float omega)
-    : NeuralSessionModel("GC-SAN", num_items, num_operations, cfg),
+    : PerSessionModel("GC-SAN", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       ggnn_(cfg.embedding_dim, rng()),
       omega_(omega) {
@@ -94,7 +94,7 @@ Variable GcSan::Logits(const Example& ex) {
 
 MkmSr::MkmSr(int64_t num_items, int64_t num_operations,
              const TrainConfig& cfg)
-    : NeuralSessionModel("MKM-SR", num_items, num_operations, cfg),
+    : PerSessionModel("MKM-SR", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       ops_(num_operations, cfg.embedding_dim, rng()),
       ggnn_(cfg.embedding_dim, rng()),
@@ -132,7 +132,7 @@ Variable MkmSr::Logits(const Example& ex) {
 
 SgnnHn::SgnnHn(int64_t num_items, int64_t num_operations,
                const TrainConfig& cfg, int num_layers, float wk)
-    : NeuralSessionModel("SGNN-HN", num_items, num_operations, cfg),
+    : PerSessionModel("SGNN-HN", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       positions_(cfg.max_positions + 1, cfg.embedding_dim, rng()),
       ggnn_(cfg.embedding_dim, rng()),

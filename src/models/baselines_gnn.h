@@ -11,7 +11,7 @@ namespace embsr {
 
 /// SR-GNN (Wu et al. 2019): gated GNN over the collapsed session graph with
 /// a soft-attention readout against the last item.
-class SrGnn : public NeuralSessionModel {
+class SrGnn : public PerSessionModel {
  public:
   SrGnn(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
@@ -27,7 +27,7 @@ class SrGnn : public NeuralSessionModel {
 /// GC-SAN (Xu et al. 2019): SR-GNN's gated GNN followed by self-attention
 /// blocks; the session embedding mixes the attention output with the last
 /// item state (weight omega as in the paper).
-class GcSan : public NeuralSessionModel {
+class GcSan : public PerSessionModel {
  public:
   GcSan(int64_t num_items, int64_t num_operations, const TrainConfig& cfg,
         int num_attention_layers = 1, float omega = 0.6f);
@@ -46,7 +46,7 @@ class GcSan : public NeuralSessionModel {
 /// (the variant the paper compares against): gated GNN for the item
 /// sequence, a GRU over the flat operation sequence, and a session
 /// representation formed from both.
-class MkmSr : public NeuralSessionModel {
+class MkmSr : public PerSessionModel {
  public:
   MkmSr(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
@@ -67,7 +67,7 @@ class MkmSr : public NeuralSessionModel {
 /// information; a highway gate mixes pre-/post-GNN embeddings; readout is
 /// position-aware attention; scoring uses NISER-style L2 normalization with
 /// scale factor w_k.
-class SgnnHn : public NeuralSessionModel {
+class SgnnHn : public PerSessionModel {
  public:
   SgnnHn(int64_t num_items, int64_t num_operations, const TrainConfig& cfg,
          int num_layers = 1, float wk = 12.0f);

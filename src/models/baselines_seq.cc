@@ -23,7 +23,7 @@ std::vector<T> Tail(const std::vector<T>& v, size_t max_len) {
 // -- NARM ----------------------------------------------------------------------
 
 Narm::Narm(int64_t num_items, int64_t num_operations, const TrainConfig& cfg)
-    : NeuralSessionModel("NARM", num_items, num_operations, cfg),
+    : PerSessionModel("NARM", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       gru_(cfg.embedding_dim, cfg.embedding_dim, rng()),
       a1_(cfg.embedding_dim, cfg.embedding_dim, rng(), /*bias=*/false),
@@ -83,49 +83,27 @@ Stamp::Stamp(int64_t num_items, int64_t num_operations,
       "ba", Tensor::Zeros({1, cfg.embedding_dim}));
 }
 
-Variable Stamp::Logits(const Example& ex) {
-  EMBSR_TIMED_SPAN("stamp/logits", "model/forward_ms");
-  using namespace ag;  // NOLINT
-  const auto seq = Tail(ex.macro_items, config().max_positions);
-  Variable x = items_.Forward(seq);
-  x = Dropout(x, config().dropout, training(), rng());
-  const int64_t t = x.value().dim(0);
-  Variable x_t = Row(x, t - 1);
-  Variable m_s = MeanRowsTo1xD(x);
-  Variable pre = AddRowBroadcast(
-      Add(w1_.Forward(x),
-          Add(RepeatRow(w2_.Forward(x_t), t), RepeatRow(w3_.Forward(m_s), t))),
-      ba_);
-  Variable att = MatMul(Sigmoid(pre), w0_);   // [t, 1]
-  Variable m_a = MatMul(Transpose(att), x);   // [1, d]
-  Variable h_s = Tanh(mlp_s_.Forward(m_a));
-  Variable h_t = Tanh(mlp_t_.Forward(x_t));
-  Variable rep = Mul(h_s, h_t);
-  return MatMul(rep, Transpose(items_.table()));
-}
-
 Variable Stamp::BatchedLogits(const SessionBatch& batch) {
   EMBSR_TIMED_SPAN("stamp/logits", "model/forward_ms");
   using namespace ag;  // NOLINT
   Variable x = items_.Forward(batch.flat_items);  // [N, d], no padding
   x = Dropout(x, config().dropout, training(), rng());
   Variable x_t = GatherRows(x, batch.last_row_index);  // [B, d]
-  // Per-session mean: segment sums accumulate each session's contiguous
-  // rows in the same ascending order SumRowsTo1xD takes, and the 1/len
-  // column is the exact factor MeanRowsTo1xD scales by.
+  // Per-session mean: segment sums over each session's contiguous rows,
+  // scaled by the 1/len column.
   Variable m_s = MulColBroadcast(
       SegmentSumRows(x, batch.segment_ids, batch.batch),
       Constant(batch.inv_len_col));  // [B, d]
-  // The legacy RepeatRow-to-session-length broadcasts become row gathers
-  // through segment_ids.
+  // Each session's query rows broadcast to its own rows through
+  // segment_ids.
   Variable pre = AddRowBroadcast(
       Add(w1_.Forward(x),
           Add(GatherRows(w2_.Forward(x_t), batch.segment_ids),
               GatherRows(w3_.Forward(m_s), batch.segment_ids))),
       ba_);
   Variable att = MatMul(Sigmoid(pre), w0_);  // [N, 1]
-  // att^T x per session: the weighted rows sum in the same ascending-k
-  // order the legacy [1, t] x [t, d] MatMul uses.
+  // att^T x per session. Segment sums run in ascending row order, so a
+  // session's row is the same at any batch size.
   Variable m_a = SegmentSumRows(MulColBroadcast(x, att), batch.segment_ids,
                                 batch.batch);  // [B, d]
   Variable h_s = Tanh(mlp_s_.Forward(m_a));
@@ -137,7 +115,7 @@ Variable Stamp::BatchedLogits(const SessionBatch& batch) {
 // -- RIB ----------------------------------------------------------------------
 
 Rib::Rib(int64_t num_items, int64_t num_operations, const TrainConfig& cfg)
-    : NeuralSessionModel("RIB", num_items, num_operations, cfg),
+    : PerSessionModel("RIB", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       ops_(num_operations, cfg.embedding_dim, rng()),
       gru_(cfg.embedding_dim, cfg.embedding_dim, rng()),
@@ -170,7 +148,7 @@ Variable Rib::Logits(const Example& ex) {
 // -- HUP ----------------------------------------------------------------------
 
 Hup::Hup(int64_t num_items, int64_t num_operations, const TrainConfig& cfg)
-    : NeuralSessionModel("HUP", num_items, num_operations, cfg),
+    : PerSessionModel("HUP", num_items, num_operations, cfg),
       items_(num_items, cfg.embedding_dim, rng()),
       ops_(num_operations, cfg.embedding_dim, rng()),
       micro_gru_(cfg.embedding_dim, cfg.embedding_dim, rng()),
@@ -226,7 +204,7 @@ Variable Hup::Logits(const Example& ex) {
 
 Bert4Rec::Bert4Rec(int64_t num_items, int64_t num_operations,
                    const TrainConfig& cfg, int num_layers)
-    : NeuralSessionModel("BERT4Rec", num_items, num_operations, cfg),
+    : PerSessionModel("BERT4Rec", num_items, num_operations, cfg),
       items_(num_items + 1, cfg.embedding_dim, rng()),
       positions_(cfg.max_positions + 1, cfg.embedding_dim, rng()) {
   RegisterModule("items", &items_);

@@ -9,7 +9,7 @@ namespace embsr {
 /// NARM (Li et al. 2017): GRU encoder with an attention mechanism combining
 /// the user's global purpose (attended hidden states) and sequential
 /// behaviour (last hidden state); bilinear decoding.
-class Narm : public NeuralSessionModel {
+class Narm : public PerSessionModel {
  public:
   Narm(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
@@ -33,8 +33,6 @@ class Stamp : public NeuralSessionModel {
   Stamp(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
  protected:
-  ag::Variable Logits(const Example& ex) override;
-
   /// Batched forward over the collator's session-major flat layout: no
   /// padding exists, the per-session mean and attention sums reduce with
   /// SegmentSumRows, and the decode GEMM runs once per batch.
@@ -51,7 +49,7 @@ class Stamp : public NeuralSessionModel {
 /// RIB (Zhou et al. 2018): the first micro-behavior SR model — a GRU over
 /// (item + operation) embeddings of the flat micro-behavior sequence with an
 /// attention pooling layer.
-class Rib : public NeuralSessionModel {
+class Rib : public PerSessionModel {
  public:
   Rib(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
@@ -69,7 +67,7 @@ class Rib : public NeuralSessionModel {
 /// HUP (Gu et al. 2020), simplified to its session-scoped pyramid: a micro
 /// GRU summarizes each item's operation sequence, an item-level GRU consumes
 /// [item embedding ; operation summary], and attention pools item states.
-class Hup : public NeuralSessionModel {
+class Hup : public PerSessionModel {
  public:
   Hup(int64_t num_items, int64_t num_operations, const TrainConfig& cfg);
 
@@ -93,7 +91,7 @@ class Hup : public NeuralSessionModel {
 /// appended at the target position (the cloze objective degenerates to
 /// next-item prediction when only the last position is masked, which is the
 /// evaluation protocol here).
-class Bert4Rec : public NeuralSessionModel {
+class Bert4Rec : public PerSessionModel {
  public:
   Bert4Rec(int64_t num_items, int64_t num_operations, const TrainConfig& cfg,
            int num_layers = 2);

@@ -55,6 +55,16 @@ NeuralSessionModel::NeuralSessionModel(std::string name, int64_t num_items,
 Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
   EMBSR_TRACE_SPAN("train/fit");
   prof::MaybeInitFromEnv();
+  // A non-positive batch would never advance the mini-batch loop (0) or
+  // wrap its size_t stride (-1); reject both before any work.
+  if (cfg_.batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be >= 1, got " +
+                                   std::to_string(cfg_.batch_size));
+  }
+  if (cfg_.forward_batch < 1) {
+    return Status::InvalidArgument("forward_batch must be >= 1, got " +
+                                   std::to_string(cfg_.forward_batch));
+  }
   if (data.train.empty()) {
     return Status::InvalidArgument("empty training split");
   }
@@ -78,11 +88,8 @@ Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
   optim::StepDecaySchedule schedule(cfg_.lr, cfg_.lr_decay_step,
                                     cfg_.lr_decay_gamma);
   const float inv_batch = 1.0f / static_cast<float>(cfg_.batch_size);
-  // EMBSR_BATCH_SIZE > 1 groups each gradient-accumulation mini-batch into
-  // collated forward-batches; the default 1 keeps the legacy per-example
-  // loop below, byte for byte.
-  const size_t forward_batch =
-      static_cast<size_t>(ForwardBatchSizeFromEnv());
+  const size_t batch_size = static_cast<size_t>(cfg_.batch_size);
+  const size_t forward_batch = static_cast<size_t>(cfg_.forward_batch);
 
   double best_mrr = -1.0;
   std::vector<Tensor> best_params;
@@ -165,39 +172,26 @@ Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
     int64_t batches = 0;
     int64_t skipped = 0;
 
-    for (size_t begin = 0; begin < order.size();
-         begin += cfg_.batch_size) {
-      const size_t end =
-          std::min(begin + cfg_.batch_size, order.size());
+    for (size_t begin = 0; begin < order.size(); begin += batch_size) {
+      const size_t end = std::min(begin + batch_size, order.size());
       opt.ZeroGrad();
       double batch_loss = 0.0;
-      if (forward_batch > 1) {
-        for (size_t i = begin; i < end; i += forward_batch) {
-          const size_t sub_end = std::min(i + forward_batch, end);
-          // One profiler step = one forward-batch's forward + backward.
-          prof::StepScope prof_step;
-          const std::vector<const Example*> chunk(
-              order.begin() + static_cast<ptrdiff_t>(i),
-              order.begin() + static_cast<ptrdiff_t>(sub_end));
-          const SessionBatch sb = CollateSessions(chunk, cfg_.max_positions);
-          ag::Variable loss = BatchedLossOn(sb);
-          const float chunk_n = static_cast<float>(sub_end - i);
-          // BatchedLossOn is the chunk *mean*; batch_loss accumulates
-          // per-example sums, and the backward scale re-weights the mean
-          // so accumulated gradients equal the batch-mean gradient.
-          batch_loss += static_cast<double>(loss.value().at(0)) * chunk_n;
-          ag::Scale(loss, chunk_n * inv_batch).Backward();
-        }
-      } else {
-        for (size_t i = begin; i < end; ++i) {
-          // One profiler step = one example's forward + backward; the per-op
-          // attributed times must sum to this span (prof_test pins it).
-          prof::StepScope prof_step;
-          ag::Variable loss = LossOn(*order[i]);
-          batch_loss += loss.value().at(0);
-          // Scale so accumulated gradients equal the batch-mean gradient.
-          ag::Scale(loss, inv_batch).Backward();
-        }
+      for (size_t i = begin; i < end; i += forward_batch) {
+        const size_t sub_end = std::min(i + forward_batch, end);
+        // One profiler step = one forward-batch's forward + backward; the
+        // per-op attributed times must sum to this span (prof_test pins it).
+        prof::StepScope prof_step;
+        const std::vector<const Example*> chunk(
+            order.begin() + static_cast<ptrdiff_t>(i),
+            order.begin() + static_cast<ptrdiff_t>(sub_end));
+        ag::Variable loss =
+            BatchedLossOn(CollateSessions(chunk, cfg_.max_positions));
+        const float chunk_n = static_cast<float>(sub_end - i);
+        // BatchedLossOn is the chunk *mean*; batch_loss accumulates
+        // per-example sums, and the backward scale re-weights the mean
+        // so accumulated gradients equal the batch-mean gradient.
+        batch_loss += static_cast<double>(loss.value().at(0)) * chunk_n;
+        ag::Scale(loss, chunk_n * inv_batch).Backward();
       }
       const int64_t batch_examples = static_cast<int64_t>(end - begin);
 
@@ -327,25 +321,13 @@ Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
 }
 
 ag::Variable NeuralSessionModel::LossOn(const Example& ex) {
-  // Contract: the example must reference this model's vocabulary. Item ids
-  // inside the session are checked by Embedding at lookup; the target is
-  // only ever used as a logits column, so check it here at the model edge.
-  EMBSR_CHECK_BOUNDS(ex.target, 0, num_items_);
-  ag::Variable logits = Logits(ex);
-  prof::ComponentScope prof_component("loss");
-  return ag::SoftmaxCrossEntropy(logits, {ex.target});
-}
-
-ag::Variable NeuralSessionModel::BatchedLogits(const SessionBatch& batch) {
-  std::vector<ag::Variable> rows;
-  rows.reserve(batch.examples.size());
-  for (const Example* ex : batch.examples) rows.push_back(Logits(*ex));
-  return rows.size() == 1 ? rows[0] : ag::StackRows(rows);
+  return BatchedLossOn(CollateSessions({&ex}, cfg_.max_positions));
 }
 
 ag::Variable NeuralSessionModel::BatchedLossOn(const SessionBatch& batch) {
-  // Same model-edge contract as LossOn: targets are only ever used as
-  // logits columns, so bounds-check them here.
+  // Contract: the batch must reference this model's vocabulary. Item ids
+  // inside the sessions are checked by Embedding at lookup; targets are
+  // only ever used as logits columns, so check them here at the model edge.
   // Indexed loop: EMBSR_CHECK_BOUNDS compiles to ((void)0) in
   // non-contracts builds, which would leave a range-for binding unused.
   for (size_t i = 0; i < batch.targets.size(); ++i) {
@@ -358,11 +340,16 @@ ag::Variable NeuralSessionModel::BatchedLossOn(const SessionBatch& batch) {
 
 std::vector<std::vector<float>> NeuralSessionModel::ScoreBatch(
     const std::vector<const Example*>& examples) {
-  EMBSR_TIMED_SPAN("model/score_batch", "model/score_batch_ms");
+  EMBSR_TIMED_SPAN("model/score_all", "model/score_all_ms");
+  // Inference has no StepScope; re-origin the forward gap here so time
+  // spent between scoring calls is never attributed to the first op.
   prof::Collector::MarkThisThread();
   const SessionBatch batch = CollateSessions(examples, cfg_.max_positions);
-  // Mirror ScoreAll's mode handling: only toggle the training flag when
-  // set, so concurrent eval-mode calls stay read-only.
+  // Only toggle the mode flag if the model is actually in training mode.
+  // When it is already in eval mode — the steady state after Fit(), and the
+  // state the parallel evaluator pins via EnsureEvalMode() — this method
+  // must not write any shared model state: concurrent scoring calls from
+  // evaluator threads rely on the forward pass being read-only.
   const bool was_training = training();
   if (was_training) SetTraining(false);
   ag::Variable logits = BatchedLogits(batch);
@@ -381,22 +368,7 @@ std::vector<std::vector<float>> NeuralSessionModel::ScoreBatch(
 }
 
 std::vector<float> NeuralSessionModel::ScoreAll(const Example& ex) {
-  EMBSR_TIMED_SPAN("model/score_all", "model/score_all_ms");
-  // Inference has no StepScope; re-origin the forward gap here so time
-  // spent between scoring calls is never attributed to the first op.
-  prof::Collector::MarkThisThread();
-  // Only toggle the mode flag if the model is actually in training mode.
-  // When it is already in eval mode — the steady state after Fit(), and the
-  // state the parallel evaluator pins via EnsureEvalMode() — this method
-  // must not write any shared model state: concurrent ScoreAll calls from
-  // evaluator threads rely on the forward pass being read-only.
-  const bool was_training = training();
-  if (was_training) SetTraining(false);
-  ag::Variable logits = Logits(ex);
-  if (was_training) SetTraining(true);
-  const Tensor& v = logits.value();
-  EMBSR_CHECK_EQ(v.size(), num_items_);
-  return v.vec();
+  return std::move(ScoreBatch({&ex})[0]);
 }
 
 double NeuralSessionModel::ValidationMrr(const std::vector<Example>& split,
@@ -422,6 +394,13 @@ void NeuralSessionModel::RestoreParameters(
   for (size_t i = 0; i < params.size(); ++i) {
     params[i].mutable_value() = snapshot[i];
   }
+}
+
+ag::Variable PerSessionModel::BatchedLogits(const SessionBatch& batch) {
+  std::vector<ag::Variable> rows;
+  rows.reserve(batch.examples.size());
+  for (const Example* ex : batch.examples) rows.push_back(Logits(*ex));
+  return rows.size() == 1 ? rows[0] : ag::StackRows(rows);
 }
 
 }  // namespace embsr

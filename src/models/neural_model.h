@@ -14,12 +14,14 @@ namespace embsr {
 
 /// Base class for all gradient-trained session recommenders.
 ///
-/// Subclasses implement Logits(example) -> [1, num_items]; the base provides
-/// the training loop (Adam, step-decay LR, gradient accumulation over
-/// mini-batches, global-norm clipping, best-on-validation checkpointing)
-/// and inference-mode scoring. Forward passes are per-session (the graphs
-/// differ per session), with gradients accumulated across the mini-batch —
-/// mathematically identical to batched training with mean loss.
+/// Every forward runs over a collated SessionBatch: subclasses implement
+/// BatchedLogits(batch) -> [batch, num_items], either natively (GRU4Rec,
+/// STAMP, EMBSR) or through PerSessionModel's stacked rows. The base
+/// provides the training loop (Adam, step-decay LR, gradient accumulation
+/// over mini-batches of TrainConfig::forward_batch-session chunks,
+/// global-norm clipping, best-on-validation checkpointing) and
+/// inference-mode scoring. The single-session entry points (ScoreAll,
+/// LossOn) are one-session batches.
 class NeuralSessionModel : public Recommender, public nn::Module {
  public:
   NeuralSessionModel(std::string name, int64_t num_items,
@@ -29,28 +31,27 @@ class NeuralSessionModel : public Recommender, public nn::Module {
 
   Status Fit(const ProcessedDataset& data) override;
 
+  /// ScoreBatch of the one-session batch {&ex}.
   std::vector<float> ScoreAll(const Example& ex) override;
 
   /// Drops the module tree into eval mode (training() == false), after which
   /// ScoreAll is a pure read of parameters and safe to call concurrently.
   void EnsureEvalMode() override { SetTraining(false); }
 
-  /// Differentiable training loss on one example: softmax cross-entropy of
-  /// Logits(ex) against the example's target. This is exactly the per-example
-  /// term the training loop optimizes; it is public so external verifiers
-  /// (src/verify gradcheck) can check d(loss)/d(parameters) end-to-end.
+  /// Differentiable training loss on one example: BatchedLossOn of the
+  /// one-session batch. Public so external verifiers (src/verify
+  /// gradcheck) can check d(loss)/d(parameters) end-to-end.
   ag::Variable LossOn(const Example& ex);
 
   /// Differentiable *mean* loss over a collated forward-batch: softmax
   /// cross-entropy of BatchedLogits against the batch's targets, averaged
-  /// over its sessions. Scale(BatchedLossOn(b), b.batch / batch_size) backs
-  /// the same accumulated gradient the per-example loop produces. Public
-  /// for the same verifier reason as LossOn.
+  /// over its sessions. Fit backs Scale(BatchedLossOn(b), b.batch /
+  /// batch_size) for every chunk of a mini-batch.
   ag::Variable BatchedLossOn(const SessionBatch& batch);
 
   /// Scores every session of `examples` through one batched forward
-  /// (eval-mode logits, row per session). In eval mode this is read-only
-  /// like ScoreAll, so evaluator threads may score disjoint batches
+  /// (eval-mode logits, row per session). In eval mode this is a pure read
+  /// of parameters, so evaluator threads may score disjoint batches
   /// concurrently.
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<const Example*>& examples);
@@ -60,17 +61,11 @@ class NeuralSessionModel : public Recommender, public nn::Module {
   int64_t num_operations() const { return num_operations_; }
 
  protected:
-  /// Unnormalized scores over all items for one example, differentiable.
-  virtual ag::Variable Logits(const Example& ex) = 0;
-
-  /// Unnormalized scores [batch, num_items] for a collated batch,
-  /// differentiable. The default stacks per-session Logits rows — correct
-  /// for every model, so the batched trainer/evaluator work zoo-wide —
-  /// while models with genuinely batched kernels (GRU4Rec, STAMP, EMBSR)
-  /// override it. Overrides must return row i bit-identical to
-  /// Logits(*batch.examples[i]) when batch.batch == 1 (tests/
-  /// batch_equiv_test.cc holds them to it).
-  virtual ag::Variable BatchedLogits(const SessionBatch& batch);
+  /// The model's one forward: unnormalized scores [batch, num_items] for a
+  /// collated batch, differentiable. Row i must depend on session i alone
+  /// and, in eval mode, be bit-identical at any batch size
+  /// (tests/batch_equiv_test.cc holds every zoo model to it).
+  virtual ag::Variable BatchedLogits(const SessionBatch& batch) = 0;
 
   Rng* rng() { return &rng_; }
 
@@ -86,6 +81,21 @@ class NeuralSessionModel : public Recommender, public nn::Module {
   int64_t num_operations_;
   TrainConfig cfg_;
   Rng rng_;
+};
+
+/// Base for models whose forward is defined one session at a time (each
+/// session owns its own graph). They implement Logits(ex) -> [1, num_items];
+/// the batched forward stacks those rows. BatchedLogits is final, so a model
+/// defines exactly one of the two forwards.
+class PerSessionModel : public NeuralSessionModel {
+ public:
+  using NeuralSessionModel::NeuralSessionModel;
+
+ protected:
+  /// Unnormalized scores over all items for one example, differentiable.
+  virtual ag::Variable Logits(const Example& ex) = 0;
+
+  ag::Variable BatchedLogits(const SessionBatch& batch) final;
 };
 
 }  // namespace embsr

@@ -13,7 +13,13 @@ namespace embsr {
 /// Sec. V-A-4 setup, scaled for CPU).
 struct TrainConfig {
   int epochs = 5;
+  /// Examples per optimizer step (gradient-accumulation mini-batch).
   int batch_size = 64;
+  /// Sessions per collated forward: Fit cuts each mini-batch into chunks of
+  /// this many, and Evaluate scores chunks of this many. Eval scores are
+  /// bitwise equal at any value; training at > 1 is equal within float
+  /// tolerance (DESIGN.md §16).
+  int forward_batch = 1;
   float lr = 0.003f;
   /// Step decay: lr *= gamma every `lr_decay_step` epochs.
   float lr_decay_gamma = 0.5f;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/check.h"
-#include "util/env.h"
 
 namespace embsr {
 
@@ -75,15 +74,10 @@ SessionBatch CollateSessions(const std::vector<const Example*>& examples,
     }
     b.last_row_index.push_back(
         static_cast<int64_t>(b.flat_items.size()) - 1);
-    // 1.0f / (float)len is exactly the factor MeanRowsTo1xD scales by, so
-    // the batched mean matches the per-session one bit for bit.
+    // The per-session mean's scale factor, as MeanRowsTo1xD computes it.
     b.inv_len_col.data()[bi] = 1.0f / static_cast<float>(len);
   }
   return b;
-}
-
-int ForwardBatchSizeFromEnv() {
-  return std::max(1, GetEnvInt("EMBSR_BATCH_SIZE", 1));
 }
 
 }  // namespace embsr

@@ -62,10 +62,6 @@ struct SessionBatch {
 SessionBatch CollateSessions(const std::vector<const Example*>& examples,
                              int64_t max_positions);
 
-/// Forward-batch size from EMBSR_BATCH_SIZE, clamped to >= 1. The default 1
-/// routes training and evaluation through the legacy per-session path.
-int ForwardBatchSizeFromEnv();
-
 }  // namespace embsr
 
 #endif  // EMBSR_MODELS_SESSION_BATCH_H_

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "models/neural_model.h"
-#include "models/session_batch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
@@ -35,48 +34,42 @@ EvalResult Evaluate(Recommender* model, const std::vector<Example>& test,
   const size_t n =
       max_examples == 0 ? test.size() : std::min(test.size(), max_examples);
   WallTimer timer;
-  // Examples are scored in parallel: each loop index owns exactly one slot
-  // of the preallocated rank vector, so the merged result is in example
-  // order regardless of which thread scored what. The model must be pinned
-  // in eval mode first so ScoreAll is read-only (see Recommender's
-  // thread-safety contract); per-example model work (e.g. parallel MatMul)
-  // automatically runs serially inside the pool, keeping each example's
-  // scores bit-identical to a serial evaluation.
+  // Examples are scored in parallel, in chunks of the model's forward
+  // batch (1 for memory-based models): each loop index owns one chunk's
+  // contiguous slots of the preallocated rank vector, so the merged result
+  // is in example order regardless of which thread scored what. The model
+  // must be pinned in eval mode first so scoring is read-only (see
+  // Recommender's thread-safety contract); per-chunk model work (e.g.
+  // parallel MatMul) automatically runs serially inside the pool, and eval
+  // scores are bitwise equal at any forward batch, so every example's
+  // scores are bit-identical to a serial evaluation.
   model->EnsureEvalMode();
   result.ranks.assign(n, 0);
-  // EMBSR_BATCH_SIZE > 1 scores collated session batches instead of single
-  // examples — same slot-per-example merge, with each loop index owning one
-  // whole batch's worth of contiguous rank slots. The default 1 keeps the
-  // per-example path byte for byte.
-  const size_t forward_batch = static_cast<size_t>(ForwardBatchSizeFromEnv());
   auto* neural = dynamic_cast<NeuralSessionModel*>(model);
-  if (neural != nullptr && forward_batch > 1) {
-    const int64_t num_batches =
-        static_cast<int64_t>((n + forward_batch - 1) / forward_batch);
-    par::For(0, num_batches, 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t bi = lo; bi < hi; ++bi) {
-        const size_t begin = static_cast<size_t>(bi) * forward_batch;
-        const size_t end = std::min(begin + forward_batch, n);
-        std::vector<const Example*> chunk;
-        chunk.reserve(end - begin);
-        for (size_t i = begin; i < end; ++i) chunk.push_back(&test[i]);
-        const std::vector<std::vector<float>> scores =
-            neural->ScoreBatch(chunk);
-        for (size_t i = begin; i < end; ++i) {
-          result.ranks[i] =
-              RankOfTarget(scores[i - begin], test[i].target);
-        }
+  const int forward_batch =
+      neural != nullptr ? neural->config().forward_batch : 1;
+  EMBSR_CHECK_GE(forward_batch, 1);
+  const size_t chunk_size = static_cast<size_t>(forward_batch);
+  const int64_t num_chunks =
+      static_cast<int64_t>((n + chunk_size - 1) / chunk_size);
+  par::For(0, num_chunks, 1, [&](int64_t lo, int64_t hi) {
+    for (int64_t ci = lo; ci < hi; ++ci) {
+      const size_t begin = static_cast<size_t>(ci) * chunk_size;
+      const size_t end = std::min(begin + chunk_size, n);
+      std::vector<const Example*> chunk;
+      chunk.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) chunk.push_back(&test[i]);
+      std::vector<std::vector<float>> scores;
+      if (neural != nullptr) {
+        scores = neural->ScoreBatch(chunk);
+      } else {
+        scores.push_back(model->ScoreAll(*chunk[0]));  // one-example chunk
       }
-    });
-  } else {
-    par::For(0, static_cast<int64_t>(n), 1, [&](int64_t lo, int64_t hi) {
-      for (int64_t i = lo; i < hi; ++i) {
-        const Example& ex = test[static_cast<size_t>(i)];
-        const std::vector<float> scores = model->ScoreAll(ex);
-        result.ranks[static_cast<size_t>(i)] = RankOfTarget(scores, ex.target);
+      for (size_t i = begin; i < end; ++i) {
+        result.ranks[i] = RankOfTarget(scores[i - begin], test[i].target);
       }
-    });
-  }
+    }
+  });
   for (int rank : result.ranks) acc.Add(rank);
   const double seconds = timer.ElapsedSeconds();
   example_counter->Add(static_cast<int64_t>(n));

@@ -1,29 +1,27 @@
-// Batched-execution equivalence suite (the PR's headline test).
+// Batched-execution equivalence suite.
 //
-// The batched path (EMBSR_BATCH_SIZE > 1) is an *optimization*, never a
-// semantic change, and this file holds it to that in three tiers:
+// Every neural forward runs over a collated SessionBatch, and the forward
+// batch size (TrainConfig::forward_batch) is an *optimization*, never a
+// semantic change. This file holds it to that in three tiers:
 //
-//  1. Bit-for-bit at batch size 1: training with EMBSR_BATCH_SIZE=1 routes
-//     through the exact legacy per-session loop (params memcmp'd after two
-//     epochs, metrics identical), and the batched model forwards
-//     (ScoreBatch) reproduce ScoreAll bitwise — including at B in {4, 16},
-//     since every batched kernel is row-independent and the masked GRU
-//     blend is a bitwise row copy.
-//  2. Tolerance at batch sizes 4/16 for *training*: gradient accumulation
-//     order and graph decomposition legitimately differ, so parameters
-//     after two epochs agree within float tolerance, not bitwise
-//     (EXPERIMENTS.md "Batch equivalence tolerances").
+//  1. Eval bitwise at any batch size: ScoreBatch at B in {1, 4, 16}
+//     reproduces the one-session ScoreAll bitwise for every neural zoo
+//     model, since every batched kernel is row-independent and the masked
+//     GRU blend is a bitwise row copy; Evaluate ranks match at any
+//     forward_batch.
+//  2. Tolerance at forward_batch 4/16 for *training*: gradient
+//     accumulation order and graph decomposition legitimately differ, so
+//     parameters after two epochs agree within float tolerance, not
+//     bitwise (EXPERIMENTS.md "Batch equivalence tolerances").
 //  3. Ragged-edge fuzz: batches mixing length-1 / max-length / identical
 //     sessions; padded steps contribute nothing to loss, gradients, or
 //     live_bytes; AuditTape passes for every zoo model's batched graph.
 //
 // Suite name BatchEquiv is load-bearing: scripts/run_sanitized_tests.sh
-// re-runs `ctest -R '^BatchEquiv'` under EMBSR_BATCH_SIZE=16 x
-// EMBSR_THREADS=4, and scripts/verify_gate.py runs the binary in its
-// --batch-equiv stage.
+// re-runs `ctest -R '^BatchEquiv'` under EMBSR_THREADS=4, and
+// scripts/verify_gate.py runs the binary in its --batch-equiv stage.
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -48,9 +46,9 @@
 namespace embsr {
 namespace {
 
-// The three models with genuinely batched kernels (BatchedLogits
-// overrides); NARM rides along in forward tests to cover the default
-// stacked-rows path every other zoo model uses.
+// The three models with native batched forwards; NARM rides along in
+// forward tests to cover the stacked-rows PerSessionModel forward every
+// other zoo model uses.
 const char* kBatchedModels[] = {"GRU4Rec", "STAMP", "EMBSR"};
 
 const ProcessedDataset& SmallData() {
@@ -62,30 +60,14 @@ const ProcessedDataset& SmallData() {
   return *d;
 }
 
-/// Pins EMBSR_BATCH_SIZE for a scope. Every run in this file sets its own
-/// value explicitly (null = unset, the default-path leg), so the suite is
-/// robust under the sanitizer matrix leg that exports EMBSR_BATCH_SIZE=16
-/// into the whole process.
-class ScopedBatchSize {
- public:
-  explicit ScopedBatchSize(const char* value) {
-    if (value == nullptr) {
-      unsetenv("EMBSR_BATCH_SIZE");
-    } else {
-      setenv("EMBSR_BATCH_SIZE", value, 1);
-    }
-  }
-  ~ScopedBatchSize() { unsetenv("EMBSR_BATCH_SIZE"); }
-};
-
 struct RunOutcome {
   std::vector<Tensor> params;
   MetricReport report;
 };
 
-RunOutcome TrainOnce(const std::string& model_name, const char* batch_env,
-                     const TrainConfig& cfg) {
-  ScopedBatchSize env(batch_env);
+RunOutcome TrainOnce(const std::string& model_name, int forward_batch,
+                     TrainConfig cfg) {
+  cfg.forward_batch = forward_batch;
   const ProcessedDataset& data = SmallData();
   std::unique_ptr<Recommender> model =
       CreateModel(model_name, data.num_items, data.num_operations, cfg);
@@ -121,18 +103,6 @@ TrainConfig ToleranceConfig() {
   return cfg;
 }
 
-void ExpectBitIdentical(const std::vector<Tensor>& a,
-                        const std::vector<Tensor>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].shape(), b[i].shape()) << "param " << i;
-    EXPECT_EQ(std::memcmp(a[i].data(), b[i].data(),
-                          sizeof(float) * static_cast<size_t>(a[i].size())),
-              0)
-        << "param " << i << " differs";
-  }
-}
-
 void ExpectAllClose(const std::vector<Tensor>& a,
                     const std::vector<Tensor>& b, float atol, float rtol) {
   ASSERT_EQ(a.size(), b.size());
@@ -155,30 +125,15 @@ void ExpectAllClose(const std::vector<Tensor>& a,
   }
 }
 
-// ---- 1. Bit-for-bit at batch size 1 ---------------------------------------
+// ---- 1. Eval bitwise at any batch size ----------------------------------
 
-// EMBSR_BATCH_SIZE=1 must be *the legacy path*, not a batched path that
-// happens to agree: params after two epochs memcmp against an unset-env
-// run, metrics identical.
-TEST(BatchEquiv, TrainBitIdenticalAtBatchSize1) {
-  for (const char* name : kBatchedModels) {
-    SCOPED_TRACE(name);
-    const RunOutcome legacy = TrainOnce(name, nullptr, SmallConfig());
-    const RunOutcome pinned = TrainOnce(name, "1", SmallConfig());
-    ExpectBitIdentical(legacy.params, pinned.params);
-    EXPECT_EQ(legacy.report.hit, pinned.report.hit);
-    EXPECT_EQ(legacy.report.mrr, pinned.report.mrr);
-  }
-}
-
-// The batched forward implementations themselves (ScoreBatch exercises
-// BatchedLogits, including the three model overrides) reproduce ScoreAll
-// bitwise at B=1 — this is the leg that actually runs the new kernels.
+// A one-session ScoreBatch (the three native batched forwards and the
+// stacked-rows one) is exactly ScoreAll, call after call.
 TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatchOne) {
   const ProcessedDataset& data = SmallData();
   std::vector<std::string> names(std::begin(kBatchedModels),
                                  std::end(kBatchedModels));
-  names.push_back("NARM");  // default stacked-rows BatchedLogits
+  names.push_back("NARM");  // stacked-rows PerSessionModel forward
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model =
@@ -204,17 +159,21 @@ TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatchOne) {
 
 // Every batched kernel is row-independent (MatMul rows, broadcasts, the
 // masked GRU blend is a bitwise row copy, SegmentSumRows accumulates each
-// segment in the same ascending order SumRowsTo1xD uses), so even B > 1
-// forwards are bit-identical per session — ragged padding and all.
+// segment in ascending row order), so B > 1 forwards are bit-identical per
+// session — ragged padding and all. Evaluate scores every neural model
+// through ScoreBatch, so the whole neural zoo is held to it.
 TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatch4And16) {
   const ProcessedDataset& data = SmallData();
-  for (const char* name : kBatchedModels) {
+  int neural_checked = 0;
+  for (const analyze::ModelAuditSpec& spec : analyze::ModelAudits()) {
+    const std::string& name = spec.model;
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model =
         CreateModel(name, data.num_items, data.num_operations, SmallConfig());
     ASSERT_NE(model, nullptr);
     auto* neural = dynamic_cast<NeuralSessionModel*>(model.get());
-    ASSERT_NE(neural, nullptr);
+    if (neural == nullptr) continue;  // memory-based: no batched forward
+    ++neural_checked;
     neural->EnsureEvalMode();
     for (const size_t bsz : {size_t{4}, size_t{16}}) {
       const size_t n = std::min<size_t>(data.test.size(), bsz);
@@ -232,31 +191,31 @@ TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatch4And16) {
       }
     }
   }
+  EXPECT_EQ(neural_checked, 21);
 }
 
-// End to end through train/evaluator.cc: the batched evaluator partition
-// produces the identical metric report and per-example ranks as the
-// per-example path, because the scores underneath are bitwise equal.
+// End to end through train/evaluator.cc: evaluating at forward_batch 16
+// produces the identical metric report and per-example ranks as at 1,
+// because the scores underneath are bitwise equal. The two models share a
+// seed, so their parameters are identical.
 TEST(BatchEquiv, EvaluatorBatchedMatchesSerial) {
   const ProcessedDataset& data = SmallData();
-  std::unique_ptr<Recommender> model = CreateModel(
-      "GRU4Rec", data.num_items, data.num_operations, SmallConfig());
-  ASSERT_NE(model, nullptr);
-  EvalResult serial, batched;
-  {
-    ScopedBatchSize env("1");
-    serial = Evaluate(model.get(), data.test, {10, 20}, 40);
-  }
-  {
-    ScopedBatchSize env("16");
-    batched = Evaluate(model.get(), data.test, {10, 20}, 40);
-  }
+  TrainConfig cfg = SmallConfig();
+  std::unique_ptr<Recommender> one = CreateModel(
+      "GRU4Rec", data.num_items, data.num_operations, cfg);
+  cfg.forward_batch = 16;
+  std::unique_ptr<Recommender> sixteen = CreateModel(
+      "GRU4Rec", data.num_items, data.num_operations, cfg);
+  ASSERT_NE(one, nullptr);
+  ASSERT_NE(sixteen, nullptr);
+  const EvalResult serial = Evaluate(one.get(), data.test, {10, 20}, 40);
+  const EvalResult batched = Evaluate(sixteen.get(), data.test, {10, 20}, 40);
   EXPECT_EQ(serial.report.hit, batched.report.hit);
   EXPECT_EQ(serial.report.mrr, batched.report.mrr);
   EXPECT_EQ(serial.ranks, batched.ranks);
 }
 
-// ---- 2. Tolerance at batch sizes 4 / 16 -----------------------------------
+// ---- 2. Tolerance at forward batch 4 / 16 ---------------------------------
 
 // Training with forward-batches accumulates the same mean-loss gradient in
 // a different association order (one batched backward vs. per-example
@@ -265,8 +224,8 @@ TEST(BatchEquiv, EvaluatorBatchedMatchesSerial) {
 TEST(BatchEquiv, TrainToleranceAtBatch4And16) {
   for (const char* name : kBatchedModels) {
     SCOPED_TRACE(name);
-    const RunOutcome serial = TrainOnce(name, "1", ToleranceConfig());
-    for (const char* bsz : {"4", "16"}) {
+    const RunOutcome serial = TrainOnce(name, 1, ToleranceConfig());
+    for (const int bsz : {4, 16}) {
       SCOPED_TRACE(bsz);
       const RunOutcome batched = TrainOnce(name, bsz, ToleranceConfig());
       ExpectAllClose(batched.params, serial.params, /*atol=*/2e-3f,

@@ -100,11 +100,11 @@ TEST(GraphAudit, ScanFindsKnownNames) {
 /// A deliberately miswired model: registers an item table AND an operation
 /// table, but Logits never touches the operation table — exactly the
 /// silent dead-embedding failure the auditor exists to catch.
-class DisconnectedOpsModel : public NeuralSessionModel {
+class DisconnectedOpsModel : public PerSessionModel {
  public:
   DisconnectedOpsModel(int64_t num_items, int64_t num_ops,
                        const TrainConfig& cfg)
-      : NeuralSessionModel("DisconnectedOps", num_items, num_ops, cfg) {
+      : PerSessionModel("DisconnectedOps", num_items, num_ops, cfg) {
     items_ = RegisterParameter(
         "items", Tensor::Randn({num_items, cfg.embedding_dim}, 0.1f, rng()));
     ops_ = RegisterParameter(

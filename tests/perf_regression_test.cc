@@ -10,7 +10,6 @@
 // --run).
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -79,39 +78,39 @@ TEST(PerfRegression, ThreadedMatMulBeatsSerial) {
 }
 
 TEST(PerfRegression, BatchedEvalThroughputFloorAtBatch32) {
-  // The batched-execution floor (tentpole PR 9): evaluating GRU4Rec with
-  // EMBSR_BATCH_SIZE=32 must clear 2x the sessions/sec of the legacy
-  // per-session path on a multi-core host. Batching wins twice — the
-  // [d, V] decode transpose is materialized once per forward-batch instead
-  // of once per session, and 32 per-step GEMVs fuse into one GEMM — so
-  // the floor holds even though both paths fan out across the pool. Like
+  // The batched-execution floor: evaluating GRU4Rec at forward_batch 32
+  // must clear 2x the sessions/sec of forward_batch 1 on a multi-core
+  // host. Batching wins twice — the [d, V] decode transpose is
+  // materialized once per forward-batch instead of once per session, and
+  // 32 per-step GEMVs fuse into one GEMM — so the floor holds even though
+  // both legs fan out across the pool. Like
   // the MatMul leg above, the BENCH_batch_smoke.json sidecar (with the
   // sessions_per_sec scalars bench_history.py checks) is written before
   // any skip.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   auto data = MakeDataset(JdAppliancesConfig(0.05));
   ASSERT_TRUE(data.ok());
-  TrainConfig cfg;
-  cfg.embedding_dim = 32;
-  cfg.seed = 7;
-  std::unique_ptr<Recommender> model = CreateModel(
-      "GRU4Rec", data.value().num_items, data.value().num_operations, cfg);
-  ASSERT_NE(model, nullptr);
-  model->EnsureEvalMode();
 
   par::SetThreadCount(0);  // hardware / EMBSR_THREADS default
-  auto sessions_per_sec = [&](const char* batch) {
-    setenv("EMBSR_BATCH_SIZE", batch, 1);
+  // Same seed at both legs, so both models hold identical parameters.
+  auto sessions_per_sec = [&](int forward_batch) {
+    TrainConfig cfg;
+    cfg.embedding_dim = 32;
+    cfg.seed = 7;
+    cfg.forward_batch = forward_batch;
+    std::unique_ptr<Recommender> model = CreateModel(
+        "GRU4Rec", data.value().num_items, data.value().num_operations, cfg);
+    EMBSR_CHECK(model != nullptr);
+    model->EnsureEvalMode();
     (void)Evaluate(model.get(), data.value().test, {20}, 64);  // warmup
     WallTimer t;
     const EvalResult r = Evaluate(model.get(), data.value().test, {20}, 512);
     const double wall = t.ElapsedSeconds();
-    unsetenv("EMBSR_BATCH_SIZE");
     EMBSR_CHECK(!r.ranks.empty());
     return static_cast<double>(r.ranks.size()) / wall;
   };
-  const double sps1 = sessions_per_sec("1");
-  const double sps32 = sessions_per_sec("32");
+  const double sps1 = sessions_per_sec(1);
+  const double sps32 = sessions_per_sec(32);
 
   {
     bench::BenchReport report("batch_smoke");

@@ -4,11 +4,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <string>
 
 #include "datagen/generator.h"
 #include "obs/run_logger.h"
 #include "util/check.h"
 #include "models/baselines_nonneural.h"
+#include "models/neural_model.h"
 #include "train/model_zoo.h"
 
 namespace embsr {
@@ -77,6 +80,32 @@ TEST(ExperimentTest, RunsEndToEnd) {
   EXPECT_EQ(res.eval.ranks.size(), 20u);
   EXPECT_GT(res.fit_seconds, 0.0);
   EXPECT_TRUE(res.eval.report.hit.contains(20));
+}
+
+// A non-positive batch_size used to hang Fit (0: empty mini-batches
+// forever) or skip all training (-1: the size_t stride wraps). Both sizes
+// are rejected up front, before a single optimizer step.
+TEST(FitTest, RejectsNonPositiveBatchSizes) {
+  for (const int bad : {0, -1}) {
+    for (const bool forward : {false, true}) {
+      SCOPED_TRACE((forward ? "forward_batch=" : "batch_size=") +
+                   std::to_string(bad));
+      TrainConfig cfg;
+      cfg.epochs = 1;
+      cfg.embedding_dim = 8;
+      cfg.max_train_examples = 20;
+      (forward ? cfg.forward_batch : cfg.batch_size) = bad;
+      std::unique_ptr<Recommender> model = CreateModel(
+          "STAMP", SmallData().num_items, SmallData().num_operations, cfg);
+      ASSERT_NE(model, nullptr);
+      auto* neural = dynamic_cast<NeuralSessionModel*>(model.get());
+      ASSERT_NE(neural, nullptr);
+      const Tensor before = neural->Parameters()[0].value();
+      const Status s = model->Fit(SmallData());
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+      EXPECT_EQ(neural->Parameters()[0].value().vec(), before.vec());
+    }
+  }
 }
 
 TEST(ExperimentTest, FormatMetricTableContainsAllCells) {
