@@ -20,11 +20,11 @@
 # Each config runs four ctest legs: the full suite, the concurrency-
 # sensitive suites (BatchEquiv among them, which sets forward batch 4 and
 # 16 itself) re-run under a forced EMBSR_THREADS=4 pool, the
-# prof/par/autograd suites re-run with EMBSR_PROF=1 EMBSR_THREADS=4 so the
-# embsr::prof attribution counters race under a real pool (and under TSan
-# in the `thread` config), and the ServeChaos smoke suite re-run with
-# EMBSR_FAILPOINTS armed so the serving core's degraded/retry paths are
-# exercised under each sanitizer.
+# prof/par/autograd and gradient-check suites re-run with EMBSR_PROF=1
+# EMBSR_THREADS=4 so the embsr::prof attribution counters race under a
+# real pool (and under TSan in the `thread` config), and the ServeChaos
+# smoke suite re-run with EMBSR_FAILPOINTS armed so the serving core's
+# degraded/retry paths are exercised under each sanitizer.
 #
 # Build dirs: build-<config> (override root with EMBSR_SAN_BUILD_DIR).
 # Logs: <build dir>/ctest-<config>.log.
@@ -114,13 +114,15 @@ for config in "${configs[@]}"; do
   # Third leg: the embsr::prof attribution counters under live profiling.
   # EMBSR_PROF=1 arms the collector (shared shards, mem tracker atomics,
   # pool lane stats) while the 4-lane pool runs the prof/par/autograd
-  # suites — under the thread config this puts the profiler's concurrent
-  # record paths in front of TSan, which is the point of the leg.
+  # suites, the gradient checks and the op-table checks, so every op's
+  # cost function runs under the profiler. Under the thread config this
+  # puts the profiler's concurrent record paths in front of TSan, which is
+  # the point of the leg.
   prof_log="$build_dir/ctest-$config-prof.log"
   echo "=== [$config] ctest EMBSR_PROF=1 EMBSR_THREADS=4 (log: $prof_log)"
   if (cd "$build_dir" && EMBSR_PROF=1 EMBSR_THREADS=4 ctest \
         --output-on-failure \
-        -R '^(Prof|CostModel|MemTracker|ParFor|ThreadPool|Autograd|Gradcheck)' \
+        -R '^(Prof|CostModel|MemTracker|ParFor|ThreadPool|Autograd|GradCheck|OpTable)' \
         2>&1 | tee "$prof_log"); then
     echo "=== [$config prof] PASS"
   else

@@ -3,6 +3,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "autograd/op_def.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 
@@ -48,7 +49,7 @@ std::string ToDot(const ag::Variable& loss,
     const int64_t id = g.id.at(n);
     const std::string* pname = g.ParamName(n);
     out << "  n" << id << " [label=\""
-        << (pname != nullptr ? *pname : std::string(n->op)) << "\\n"
+        << (pname != nullptr ? *pname : std::string(ag::OpName(*n))) << "\\n"
         << n->value.ShapeString() << "\""
         << (pname != nullptr ? ", shape=box" : "")
         << (n->requires_grad ? "" : ", style=dotted") << "];\n";
@@ -73,7 +74,7 @@ std::string ToJson(const ag::Variable& loss,
     const std::string* pname = g.ParamName(n);
     w.BeginObject();
     w.Key("id").Int(g.id.at(n));
-    w.Key("op").String(n->op);
+    w.Key("op").String(ag::OpName(*n));
     w.Key("shape").String(n->value.ShapeString());
     w.Key("requires_grad").Bool(n->requires_grad);
     if (pname != nullptr) w.Key("param").String(*pname);

@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "analyze/tape_audit.h"
+#include "autograd/op_def.h"
 #include "obs/json.h"
 
 namespace embsr {
@@ -33,6 +34,31 @@ bool Contains(const std::vector<std::string>& list, const std::string& s) {
 void NoteValueRead(PlanBuffer* b, int64_t step) {
   ++b->reads;
   b->last_read_step = std::max(b->last_read_step, step);
+}
+
+/// Runs each op node's shape rule; leaves and opaque op nodes are counted
+/// and skipped. Returns all diagnostics, "[shape-rule]"-prefixed.
+std::vector<std::string> CheckShapes(const std::vector<ag::Node*>& nodes,
+                                     ShapeCheckStats* stats) {
+  std::vector<std::string> failures;
+  for (ag::Node* n : nodes) {
+    if (n->def == nullptr) {
+      ++stats->leaves;
+      continue;
+    }
+    if (n->parents.empty()) {
+      // Ops over non-differentiable inputs record no parents (MakeOp only
+      // keeps them when a gradient will flow); their inputs are invisible,
+      // so the rule cannot run.
+      ++stats->skipped;
+      continue;
+    }
+    ++stats->checked;
+    if (std::string e = n->def->shape_rule(*n); !e.empty()) {
+      failures.push_back("[shape-rule] " + e);
+    }
+  }
+  return failures;
 }
 
 }  // namespace
@@ -117,7 +143,7 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
     const int64_t simulated = static_cast<int64_t>(ni.accum_steps.size());
     if (simulated != n->accum_count) {
       std::ostringstream out;
-      out << "[accum-model] node #" << ni.node_id << " (op '" << n->op
+      out << "[accum-model] node #" << ni.node_id << " (op '" << ag::OpName(*n)
           << "'): schedule simulates " << simulated
           << " gradient accumulation(s), runtime recorded " << n->accum_count;
       plan.build_failures.push_back(out.str());
@@ -133,7 +159,7 @@ GraphPlan BuildGraphPlan(const ag::Variable& loss,
     b.id = static_cast<int64_t>(plan.buffers.size());
     b.node_id = ni.node_id;
     auto it = param_name.find(n);
-    b.label = it != param_name.end() ? it->second : std::string(n->op);
+    b.label = it != param_name.end() ? it->second : std::string(ag::OpName(*n));
     b.shape = n->value.ShapeString();
     b.persistent = ni.fwd_step < 0;
     b.requires_grad = n->requires_grad;

@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "analyze/shape_rules.h"
 #include "autograd/tape.h"
 #include "autograd/variable.h"
 #include "nn/module.h"
@@ -64,6 +63,14 @@ struct PlanBuffer {
                          // -1 = owns storage. The builder never emits
                          // aliases; the verifier still vets them, so a
                          // hand-built or mutated plan cannot hide one.
+};
+
+/// Outcome of the shape pass: every op node with recorded parents is checked
+/// against its OpDef's shape rule.
+struct ShapeCheckStats {
+  int64_t checked = 0;  // op nodes with recorded parents, rule applied
+  int64_t skipped = 0;  // op nodes without recorded parents (opaque)
+  int64_t leaves = 0;   // leaf nodes (no rule applies)
 };
 
 struct GraphPlanStats {

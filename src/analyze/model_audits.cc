@@ -32,12 +32,6 @@ Example AuditExample() {
 constexpr int64_t kAuditVocabItems = 12;
 constexpr int64_t kAuditVocabOperations = 4;
 
-/// Coverage marker. verify/source_scan.cc collects every quoted-string
-/// EMBSR_MODEL_AUDIT use in this file and tests/graph_audit_test.cc diffs
-/// the set against train/model_zoo.cc in both directions — register a
-/// model here or its audit coverage test fails.
-#define EMBSR_MODEL_AUDIT(name) name
-
 /// EmbsrModel registers every component unconditionally (stable checkpoint
 /// layout and parameter count across the ablation grid — see
 /// core/embsr_model.cc); a variant's disabled components are therefore
@@ -124,48 +118,46 @@ std::vector<ModelAuditSpec> BuildAudits() {
   };
 
   // Memory-based baselines: no parameters, trivially clean.
-  add(EMBSR_MODEL_AUDIT("S-POP"));
-  add(EMBSR_MODEL_AUDIT("SKNN"));
-  add(EMBSR_MODEL_AUDIT("STAN"));
+  add("S-POP");
+  add("SKNN");
+  add("STAN");
 
   // Neural baselines: every parameter must reach the loss, no exceptions.
-  add(EMBSR_MODEL_AUDIT("NARM"));
-  add(EMBSR_MODEL_AUDIT("STAMP"));
-  add(EMBSR_MODEL_AUDIT("SR-GNN"));
-  add(EMBSR_MODEL_AUDIT("GC-SAN"));
-  add(EMBSR_MODEL_AUDIT("BERT4Rec"));
-  add(EMBSR_MODEL_AUDIT("SGNN-HN"));
-  add(EMBSR_MODEL_AUDIT("RIB"));
-  add(EMBSR_MODEL_AUDIT("HUP"));
-  add(EMBSR_MODEL_AUDIT("MKM-SR"));
-  add(EMBSR_MODEL_AUDIT("GRU4Rec"));
-  add(EMBSR_MODEL_AUDIT("FPMC"));
+  add("NARM");
+  add("STAMP");
+  add("SR-GNN");
+  add("GC-SAN");
+  add("BERT4Rec");
+  add("SGNN-HN");
+  add("RIB");
+  add("HUP");
+  add("MKM-SR");
+  add("GRU4Rec");
+  add("FPMC");
 
   // EMBSR and its ablation grid. Each variant allows exactly the component
   // groups its EmbsrConfig switches off — nothing more (the stale-allowance
   // check turns an over-broad list into a failure).
-  AllowRnnBackbone(AllowOpImportance(add(EMBSR_MODEL_AUDIT("EMBSR"))));
+  AllowRnnBackbone(AllowOpImportance(add("EMBSR")));
   AllowSelfAttention(AllowDyadicRelations(
-      AllowRnnBackbone(AllowOpImportance(add(EMBSR_MODEL_AUDIT("EMBSR-NS"))))));
+      AllowRnnBackbone(AllowOpImportance(add("EMBSR-NS")))));
   AllowGnn(AllowMicroOpGru(
-      AllowRnnBackbone(AllowOpImportance(add(EMBSR_MODEL_AUDIT("EMBSR-NG"))))));
-  AllowRnnBackbone(AllowOpImportance(add(EMBSR_MODEL_AUDIT("EMBSR-NF"))));
-  AllowRnnBackbone(add(EMBSR_MODEL_AUDIT("EMBSR-W")));
+      AllowRnnBackbone(AllowOpImportance(add("EMBSR-NG")))));
+  AllowRnnBackbone(AllowOpImportance(add("EMBSR-NF")));
+  AllowRnnBackbone(add("EMBSR-W"));
   AllowOpsTable(AllowDyadicRelations(AllowMicroOpGru(AllowRnnBackbone(
-      AllowOpImportance(add(EMBSR_MODEL_AUDIT("SGNN-Self")))))));
+      AllowOpImportance(add("SGNN-Self"))))));
   AllowDyadicRelations(AllowRnnBackbone(
-      AllowOpImportance(add(EMBSR_MODEL_AUDIT("SGNN-Seq-Self")))));
+      AllowOpImportance(add("SGNN-Seq-Self"))));
   AllowGnn(AllowMicroOpGru(AllowDyadicRelations(
-      AllowOpImportance(add(EMBSR_MODEL_AUDIT("RNN-Self"))))));
+      AllowOpImportance(add("RNN-Self")))));
   AllowDyadicRelations(AllowMicroOpGru(AllowRnnBackbone(
-      AllowOpImportance(add(EMBSR_MODEL_AUDIT("SGNN-Abs-Self"))))));
+      AllowOpImportance(add("SGNN-Abs-Self")))));
   AllowMicroOpGru(AllowRnnBackbone(
-      AllowOpImportance(add(EMBSR_MODEL_AUDIT("SGNN-Dyadic")))));
+      AllowOpImportance(add("SGNN-Dyadic"))));
 
   return audits;
 }
-
-#undef EMBSR_MODEL_AUDIT
 
 }  // namespace
 

@@ -16,11 +16,10 @@ struct ModelAuditSpec {
   TapeAuditOptions options;
 };
 
-/// All registered per-model audits, one per zoo model name. Coverage is
-/// *enforced*, not aspirational: verify/source_scan.cc regex-scans
-/// src/analyze/model_audits.cc for EMBSR_MODEL_AUDIT("...") markers and
-/// tests/graph_audit_test.cc fails if any model_zoo.cc name lacks an entry
-/// (or an entry names a model the zoo no longer builds).
+/// All registered per-model audits, one per zoo model name.
+/// tests/graph_audit_test.cc compares them with ZooModelNames() both ways:
+/// a zoo model without an audit, or an audit naming a model the zoo no
+/// longer builds, fails it.
 const std::vector<ModelAuditSpec>& ModelAudits();
 
 /// The spec registered for `name`, or null.

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "autograd/op_def.h"
+
 namespace embsr {
 namespace analyze {
 
@@ -56,7 +58,7 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
   report.stats.parameters = static_cast<int64_t>(params.size());
   for (ag::Node* n : reachable_order) {
     report.stats.edges += static_cast<int64_t>(n->parents.size());
-    ++report.stats.op_histogram[n->op];
+    ++report.stats.op_histogram[ag::OpName(*n)];
   }
 
   // Invariants 4 & 5: parameters are distinct leaves. Aliased names would
@@ -84,7 +86,7 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
     }
     if (!node->parents.empty() || node->backward_fn) {
       fail("parameter '" + p.name + "' is not a leaf (produced by op '" +
-           std::string(node->op) + "')");
+           std::string(ag::OpName(*node)) + "')");
     }
     if (!node->requires_grad) {
       fail("parameter '" + p.name + "' does not require grad");
@@ -132,7 +134,7 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
     const int64_t want = it == expected.end() ? 0 : it->second;
     if (n->accum_count != want) {
       std::ostringstream msg;
-      msg << "gradient accumulation mismatch on op '" << n->op << "'";
+      msg << "gradient accumulation mismatch on op '" << ag::OpName(*n) << "'";
       const auto name_it = param_name_of_node.find(n);
       if (name_it != param_name_of_node.end()) {
         msg << " (parameter '" << name_it->second << "')";
@@ -147,8 +149,8 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
   // requires_grad must be an ancestor of the loss.
   for (const auto& node : tape.nodes()) {
     if (!node->requires_grad || reachable.count(node.get())) continue;
-    if (Contains(options.allowed_orphan_ops, node->op)) continue;
-    fail("orphaned op '" + std::string(node->op) + "' producing " +
+    if (Contains(options.allowed_orphan_ops, ag::OpName(*node))) continue;
+    fail("orphaned op '" + std::string(ag::OpName(*node)) + "' producing " +
          node->value.ShapeString() +
          ": recorded on the tape but unreachable from the loss");
   }

@@ -51,7 +51,7 @@ struct TapeAuditOptions {
   /// Normally empty; EMBSR ablation variants list the components their
   /// config switches off (registered unconditionally by EmbsrModel).
   std::vector<std::string> allowed_dead_params;
-  /// Op names (Node::op) whose outputs may legitimately be left unused.
+  /// Op names (OpDef::name) whose outputs may legitimately be left unused.
   /// Normally empty.
   std::vector<std::string> allowed_orphan_ops;
 };

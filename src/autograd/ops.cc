@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <sstream>
 
-#include "autograd/op_costs.h"
+#include "autograd/op_def.h"
 #include "autograd/tape.h"
 #include "prof/op_profiler.h"
 #include "util/check.h"
@@ -13,44 +15,30 @@ namespace ag {
 
 namespace {
 
-/// Slow path taken only while EMBSR_PROF is on: looks up the op's cost
-/// model, stamps the active component label on the node (so backward time
+/// Slow path taken only while EMBSR_PROF is on: charges the op's modeled
+/// cost, stamps the active component label on the node (so backward time
 /// lands in the same bucket) and records the forward gap.
 void ProfileForwardNode(prof::Collector* pc, Node* node,
                         const std::vector<Variable>& inputs) {
-  // Cost models live in a static-library TU of their own; registering here,
-  // on first profiled op, keeps them immune to linker dead-stripping.
-  static const bool registered = [] {
-    RegisterOpCostModels();
-    return true;
-  }();
-  (void)registered;
   prof::ShapeInfo shapes;
   shapes.output = node->value.shape();
   shapes.inputs.reserve(inputs.size());
   for (const auto& v : inputs) shapes.inputs.push_back(v.value().shape());
-  prof::OpCost cost;
-  if (prof::CostFn fn = prof::FindOpCost(node->op)) {
-    cost = fn(shapes);
-  } else {
-    prof::CountUncoveredOp();  // the source scan should make this impossible
-  }
+  const prof::OpCost cost = node->def->cost(shapes);
   node->component = prof::CurrentComponent();
-  pc->RecordForward(node->op, node->component, cost);
+  pc->RecordForward(node->def->name, node->component, cost);
 }
 
 /// Builds the output node. Records parents and the backward closure only when
 /// some input requires grad, so inference-only forward passes build no graph.
-/// `op` must be a string literal naming the public op (it is stored on the
-/// node and shown by the analyze tooling).
-Variable MakeOp(const char* op, Tensor value, std::vector<Variable> inputs,
+Variable MakeOp(OpId id, Tensor value, std::vector<Variable> inputs,
                 std::function<void(Node*)> backward) {
   // Contract: no op may produce NaN/Inf. Checking the single funnel point
   // catches a numeric blow-up at the op that created it rather than ten ops
   // downstream in the loss. (No-op unless EMBSR_CHECK_CONTRACTS.)
   EMBSR_CHECK_FINITE(value);
   auto node = std::make_shared<Node>();
-  node->op = op;
+  node->def = &OpTable()[static_cast<size_t>(id)];
   node->value = std::move(value);
   bool rg = false;
   for (const auto& v : inputs) {
@@ -79,7 +67,7 @@ void AccumIfNeeded(const std::shared_ptr<Node>& parent, const Tensor& g) {
 Variable Add(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  return MakeOp("Add", embsr::Add(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kAdd, embsr::Add(a.value(), b.value()), {a, b},
                 [an, bn](Node* out) {
                   AccumIfNeeded(an, out->grad);
                   AccumIfNeeded(bn, out->grad);
@@ -89,7 +77,7 @@ Variable Add(const Variable& a, const Variable& b) {
 Variable Sub(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  return MakeOp("Sub", embsr::Sub(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kSub, embsr::Sub(a.value(), b.value()), {a, b},
                 [an, bn](Node* out) {
                   AccumIfNeeded(an, out->grad);
                   AccumIfNeeded(bn, embsr::Neg(out->grad));
@@ -99,7 +87,7 @@ Variable Sub(const Variable& a, const Variable& b) {
 Variable Mul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  return MakeOp("Mul", embsr::Mul(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kMul, embsr::Mul(a.value(), b.value()), {a, b},
                 [an, bn](Node* out) {
                   AccumIfNeeded(an, embsr::Mul(out->grad, bn->value));
                   AccumIfNeeded(bn, embsr::Mul(out->grad, an->value));
@@ -109,7 +97,7 @@ Variable Mul(const Variable& a, const Variable& b) {
 Variable AddRowBroadcast(const Variable& a, const Variable& row) {
   auto an = a.node();
   auto rn = row.node();
-  return MakeOp("AddRowBroadcast", embsr::AddRowBroadcast(a.value(), row.value()), {a, row},
+  return MakeOp(OpId::kAddRowBroadcast, embsr::AddRowBroadcast(a.value(), row.value()), {a, row},
                 [an, rn](Node* out) {
                   AccumIfNeeded(an, out->grad);
                   if (rn->requires_grad) {
@@ -126,7 +114,7 @@ Variable MulRowBroadcast(const Variable& a, const Variable& row) {
   Tensor out = embsr::MulRowBroadcast(a.value(), row.value());
   auto an = a.node();
   auto rn = row.node();
-  return MakeOp("MulRowBroadcast", std::move(out), {a, row}, [an, rn](Node* o) {
+  return MakeOp(OpId::kMulRowBroadcast, std::move(out), {a, row}, [an, rn](Node* o) {
     if (an->requires_grad) {
       an->AccumulateGrad(embsr::MulRowBroadcast(o->grad, rn->value));
     }
@@ -153,7 +141,7 @@ Variable MulColBroadcast(const Variable& a, const Variable& col) {
   }
   auto an = a.node();
   auto cn = col.node();
-  return MakeOp("MulColBroadcast", std::move(out), {a, col}, [an, cn, n, d](Node* o) {
+  return MakeOp(OpId::kMulColBroadcast, std::move(out), {a, col}, [an, cn, n, d](Node* o) {
     if (an->requires_grad) {
       Tensor ga({n, d});
       for (int64_t i = 0; i < n; ++i) {
@@ -172,14 +160,14 @@ Variable MulColBroadcast(const Variable& a, const Variable& col) {
 
 Variable Scale(const Variable& a, float s) {
   auto an = a.node();
-  return MakeOp("Scale", embsr::Scale(a.value(), s), {a}, [an, s](Node* out) {
+  return MakeOp(OpId::kScale, embsr::Scale(a.value(), s), {a}, [an, s](Node* out) {
     AccumIfNeeded(an, embsr::Scale(out->grad, s));
   });
 }
 
 Variable AddScalar(const Variable& a, float s) {
   auto an = a.node();
-  return MakeOp("AddScalar", embsr::AddScalar(a.value(), s), {a},
+  return MakeOp(OpId::kAddScalar, embsr::AddScalar(a.value(), s), {a},
                 [an](Node* out) { AccumIfNeeded(an, out->grad); });
 }
 
@@ -188,7 +176,7 @@ Variable Neg(const Variable& a) { return Scale(a, -1.0f); }
 Variable MatMul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  return MakeOp("MatMul", embsr::MatMul(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kMatMul, embsr::MatMul(a.value(), b.value()), {a, b},
                 [an, bn](Node* out) {
                   if (an->requires_grad) {
                     an->AccumulateGrad(
@@ -203,7 +191,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
 
 Variable Transpose(const Variable& a) {
   auto an = a.node();
-  return MakeOp("Transpose", a.value().Transposed(), {a}, [an](Node* out) {
+  return MakeOp(OpId::kTranspose, a.value().Transposed(), {a}, [an](Node* out) {
     AccumIfNeeded(an, out->grad.Transposed());
   });
 }
@@ -211,7 +199,7 @@ Variable Transpose(const Variable& a) {
 Variable Sigmoid(const Variable& a) {
   Tensor y = embsr::Sigmoid(a.value());
   auto an = a.node();
-  return MakeOp("Sigmoid", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kSigmoid, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     Tensor g = out->grad;
     const float* py = out->value.data();
@@ -224,7 +212,7 @@ Variable Sigmoid(const Variable& a) {
 Variable Tanh(const Variable& a) {
   Tensor y = embsr::Tanh(a.value());
   auto an = a.node();
-  return MakeOp("Tanh", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kTanh, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     Tensor g = out->grad;
     const float* py = out->value.data();
@@ -237,7 +225,7 @@ Variable Tanh(const Variable& a) {
 Variable Relu(const Variable& a) {
   Tensor y = embsr::Relu(a.value());
   auto an = a.node();
-  return MakeOp("Relu", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kRelu, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     Tensor g = out->grad;
     const float* px = an->value.data();
@@ -252,7 +240,7 @@ Variable Relu(const Variable& a) {
 Variable Exp(const Variable& a) {
   Tensor y = embsr::Exp(a.value());
   auto an = a.node();
-  return MakeOp("Exp", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kExp, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     an->AccumulateGrad(embsr::Mul(out->grad, out->value));
   });
@@ -261,7 +249,7 @@ Variable Exp(const Variable& a) {
 Variable Log(const Variable& a) {
   Tensor y = embsr::Log(a.value());
   auto an = a.node();
-  return MakeOp("Log", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kLog, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     Tensor g = out->grad;
     const float* px = an->value.data();
@@ -276,7 +264,7 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
   auto bn = b.node();
   const int64_t da = a.value().dim(1);
   const int64_t db = b.value().dim(1);
-  return MakeOp("ConcatCols", embsr::ConcatCols(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kConcatCols, embsr::ConcatCols(a.value(), b.value()), {a, b},
                 [an, bn, da, db](Node* out) {
                   const int64_t n = out->grad.dim(0);
                   if (an->requires_grad) {
@@ -305,7 +293,7 @@ Variable ConcatRows(const Variable& a, const Variable& b) {
   auto bn = b.node();
   const int64_t na = a.value().dim(0);
   const int64_t nb = b.value().dim(0);
-  return MakeOp("ConcatRows", embsr::ConcatRows(a.value(), b.value()), {a, b},
+  return MakeOp(OpId::kConcatRows, embsr::ConcatRows(a.value(), b.value()), {a, b},
                 [an, bn, na, nb](Node* out) {
                   if (an->requires_grad) {
                     an->AccumulateGrad(out->grad.SliceRows(0, na));
@@ -329,7 +317,7 @@ Variable StackRows(const std::vector<Variable>& rows) {
   std::vector<std::shared_ptr<Node>> parents;
   parents.reserve(rows.size());
   for (const auto& r : rows) parents.push_back(r.node());
-  return MakeOp("StackRows", std::move(out), rows, [parents, d](Node* o) {
+  return MakeOp(OpId::kStackRows, std::move(out), rows, [parents, d](Node* o) {
     for (size_t i = 0; i < parents.size(); ++i) {
       if (!parents[i]->requires_grad) continue;
       Tensor g = o->grad.SliceRows(static_cast<int64_t>(i),
@@ -342,7 +330,7 @@ Variable StackRows(const std::vector<Variable>& rows) {
 
 Variable SliceRows(const Variable& a, int64_t begin, int64_t end) {
   auto an = a.node();
-  return MakeOp("SliceRows", a.value().SliceRows(begin, end), {a},
+  return MakeOp(OpId::kSliceRows, a.value().SliceRows(begin, end), {a},
                 [an, begin, end](Node* out) {
                   if (!an->requires_grad) return;
                   Tensor ga(an->value.shape());
@@ -358,7 +346,7 @@ Variable Row(const Variable& a, int64_t r) { return SliceRows(a, r, r + 1); }
 Variable GatherRows(const Variable& table,
                     const std::vector<int64_t>& indices) {
   auto tn = table.node();
-  return MakeOp("GatherRows", embsr::GatherRows(table.value(), indices), {table},
+  return MakeOp(OpId::kGatherRows, embsr::GatherRows(table.value(), indices), {table},
                 [tn, indices](Node* out) {
                   if (!tn->requires_grad) return;
                   Tensor gt(tn->value.shape());
@@ -372,7 +360,7 @@ Variable SelectRowsByMask(const Variable& a, const Variable& b,
   Tensor y = embsr::SelectRowsByMask(a.value(), b.value(), mask);
   auto an = a.node();
   auto bn = b.node();
-  return MakeOp("SelectRowsByMask", std::move(y), {a, b},
+  return MakeOp(OpId::kSelectRowsByMask, std::move(y), {a, b},
                 [an, bn, mask](Node* out) {
                   const Tensor zero(out->grad.shape());
                   if (an->requires_grad) {
@@ -391,7 +379,7 @@ Variable SegmentSumRows(const Variable& a,
                         int64_t num_segments) {
   Tensor y = embsr::SegmentSumRows(a.value(), segments, num_segments);
   auto an = a.node();
-  return MakeOp("SegmentSumRows", std::move(y), {a},
+  return MakeOp(OpId::kSegmentSumRows, std::move(y), {a},
                 [an, segments](Node* out) {
                   if (!an->requires_grad) return;
                   an->AccumulateGrad(embsr::GatherRows(out->grad, segments));
@@ -401,7 +389,7 @@ Variable SegmentSumRows(const Variable& a,
 Variable RowSoftmaxMasked(const Variable& a, const Tensor& mask) {
   Tensor y = embsr::RowSoftmaxMasked(a.value(), mask);
   auto an = a.node();
-  return MakeOp("RowSoftmaxMasked", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kRowSoftmaxMasked, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     // dL/dx_i = y_i * (g_i - sum_j g_j y_j), row-wise.
     const int64_t n = out->value.dim(0), m = out->value.dim(1);
@@ -426,7 +414,7 @@ Variable RowSoftmax(const Variable& a) {
 
 Variable SumAll(const Variable& a) {
   auto an = a.node();
-  return MakeOp("SumAll", embsr::SumAll(a.value()), {a}, [an](Node* out) {
+  return MakeOp(OpId::kSumAll, embsr::SumAll(a.value()), {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     an->AccumulateGrad(Tensor::Full(an->value.shape(), out->grad.at(0)));
   });
@@ -434,7 +422,7 @@ Variable SumAll(const Variable& a) {
 
 Variable SumRowsTo1xD(const Variable& a) {
   auto an = a.node();
-  return MakeOp("SumRowsTo1xD", embsr::SumRowsTo1xD(a.value()), {a}, [an](Node* out) {
+  return MakeOp(OpId::kSumRowsTo1xD, embsr::SumRowsTo1xD(a.value()), {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     const int64_t n = an->value.dim(0), d = an->value.dim(1);
     Tensor ga({n, d});
@@ -447,7 +435,7 @@ Variable SumRowsTo1xD(const Variable& a) {
 
 Variable SumColsToNx1(const Variable& a) {
   auto an = a.node();
-  return MakeOp("SumColsToNx1", embsr::SumColsToNx1(a.value()), {a}, [an](Node* out) {
+  return MakeOp(OpId::kSumColsToNx1, embsr::SumColsToNx1(a.value()), {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     const int64_t n = an->value.dim(0), d = an->value.dim(1);
     Tensor ga({n, d});
@@ -472,7 +460,7 @@ Variable RepeatRow(const Variable& a, int64_t n) {
     std::memcpy(out.data() + i * d, a.value().data(), sizeof(float) * d);
   }
   auto an = a.node();
-  return MakeOp("RepeatRow", std::move(out), {a}, [an](Node* o) {
+  return MakeOp(OpId::kRepeatRow, std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
     Tensor g = embsr::SumRowsTo1xD(o->grad);
     // lint: allow(raw-resize): same-count rank fixup, copies
@@ -484,7 +472,7 @@ Variable L2NormalizeRowsOp(const Variable& a) {
   constexpr float kEps = 1e-12f;
   Tensor y = embsr::L2NormalizeRows(a.value(), kEps);
   auto an = a.node();
-  return MakeOp("L2NormalizeRowsOp", y, {a}, [an](Node* out) {
+  return MakeOp(OpId::kL2NormalizeRowsOp, y, {a}, [an](Node* out) {
     if (!an->requires_grad) return;
     const int64_t n = an->value.dim(0), d = an->value.dim(1);
     Tensor ga({n, d});
@@ -530,7 +518,7 @@ Variable LayerNormRows(const Variable& a, float eps) {
     }
   }
   auto an = a.node();
-  return MakeOp("LayerNormRows", std::move(y), {a}, [an, inv_std, n, d](Node* out) {
+  return MakeOp(OpId::kLayerNormRows, std::move(y), {a}, [an, inv_std, n, d](Node* out) {
     if (!an->requires_grad) return;
     Tensor ga({n, d});
     for (int64_t i = 0; i < n; ++i) {
@@ -564,7 +552,7 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
   }
   Tensor out = embsr::Mul(a.value(), mask);
   auto an = a.node();
-  return MakeOp("Dropout", std::move(out), {a}, [an, mask](Node* o) {
+  return MakeOp(OpId::kDropout, std::move(out), {a}, [an, mask](Node* o) {
     AccumIfNeeded(an, embsr::Mul(o->grad, mask));
   });
 }
@@ -585,7 +573,7 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
   }
   loss /= n;
   auto ln = logits.node();
-  return MakeOp("SoftmaxCrossEntropy", Tensor::Scalar(static_cast<float>(loss)), {logits},
+  return MakeOp(OpId::kSoftmaxCrossEntropy, Tensor::Scalar(static_cast<float>(loss)), {logits},
                 [ln, probs, targets, n, c](Node* out) {
                   if (!ln->requires_grad) return;
                   const float g0 = out->grad.at(0) / static_cast<float>(n);
@@ -597,6 +585,548 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
                   ln->AccumulateGrad(ga);
                 });
 }
+
+// ---- The op table: one OpDef per op above ---------------------------------
+//
+// Shape rules, cost models and gradcheck cases, then the table itself. It
+// sits below the op functions, and MakeOp reaches it through OpTable():
+// with these ~500 lines above them, the op functions' code moved and
+// perfbench eval-zoo ran 16% slower (median of 10 A/B pairs on a shared
+// 4-vCPU x86-64 host).
+
+namespace {
+
+using Shape = std::vector<int64_t>;
+using Leaves = std::vector<Variable>;
+using Tensors = std::vector<Tensor>;
+
+// ---- Shape rules ------------------------------------------------------------
+//
+// A rule sees one recorded node (output value + parent values, in
+// op-argument order) and re-derives the output shape, or, when an op
+// attribute is invisible to the graph (slice bounds, gather indices, repeat
+// counts), checks every bound the attribute cannot break.
+
+std::string ShapeStr(const Shape& shape) {
+  std::ostringstream out;
+  out << "[";
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (i > 0) out << ", ";
+    out << shape[i];
+  }
+  out << "]";
+  return out.str();
+}
+
+const Shape& Out(const Node& n) { return n.value.shape(); }
+
+const Shape& In(const Node& n, size_t i) { return n.parents[i]->value.shape(); }
+
+std::string Fail(const Node& n, const std::string& why) {
+  std::ostringstream out;
+  out << "op '" << n.def->name << "' output " << ShapeStr(Out(n))
+      << " vs inputs (";
+  for (size_t i = 0; i < n.parents.size(); ++i) {
+    if (i > 0) out << ", ";
+    out << ShapeStr(In(n, i));
+  }
+  out << "): " << why;
+  return out.str();
+}
+
+std::string WantArity(const Node& n, size_t k) {
+  if (n.parents.size() == k) return "";
+  std::ostringstream out;
+  out << "expected " << k << " input(s), node has " << n.parents.size();
+  return Fail(n, out.str());
+}
+
+bool Rank2(const Shape& s) { return s.size() == 2; }
+
+/// Rows treated as a [1, d] or rank-1 [d] vector; -1 if neither.
+int64_t RowWidth(const Shape& s) {
+  if (s.size() == 1) return s[0];
+  if (s.size() == 2 && s[0] == 1) return s[1];
+  return -1;
+}
+
+/// out shape identical to input 0 (unary elementwise and friends).
+std::string SameAsInput(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (Out(n) != In(n, 0)) return Fail(n, "output must match the input shape");
+  return "";
+}
+
+/// Row-wise normalizations: SameAsInput on a rank-2 tensor.
+std::string SameAsInputRank2(const Node& n) {
+  if (std::string e = SameAsInput(n); !e.empty()) return e;
+  if (!Rank2(Out(n))) return Fail(n, "output must be rank 2");
+  return "";
+}
+
+/// out shape identical to both inputs (binary elementwise).
+std::string SameShapeBinary(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (In(n, 0) != In(n, 1)) return Fail(n, "input shapes must match");
+  if (Out(n) != In(n, 0)) return Fail(n, "output must match the input shape");
+  return "";
+}
+
+/// a: [n, d]; row: width d; out == a.
+std::string RowBroadcast(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input 0 must be rank 2");
+  if (RowWidth(In(n, 1)) != In(n, 0)[1]) {
+    return Fail(n, "row width must equal input 0's column count");
+  }
+  if (Out(n) != In(n, 0)) return Fail(n, "output must match input 0's shape");
+  return "";
+}
+
+std::string MulColBroadcastShape(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input 0 must be rank 2");
+  if (In(n, 1) != Shape{In(n, 0)[0], 1}) {
+    return Fail(n, "input 1 must be [input 0 rows, 1]");
+  }
+  if (Out(n) != In(n, 0)) return Fail(n, "output must match input 0's shape");
+  return "";
+}
+
+std::string MatMulShape(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0)) || !Rank2(In(n, 1))) {
+    return Fail(n, "both inputs must be rank 2");
+  }
+  if (In(n, 0)[1] != In(n, 1)[0]) return Fail(n, "inner dimensions must agree");
+  if (Out(n) != Shape{In(n, 0)[0], In(n, 1)[1]}) {
+    return Fail(n, "output must be [input 0 rows, input 1 cols]");
+  }
+  return "";
+}
+
+std::string TransposeShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input must be rank 2");
+  if (Out(n) != Shape{In(n, 0)[1], In(n, 0)[0]}) {
+    return Fail(n, "output must be the transposed input shape");
+  }
+  return "";
+}
+
+std::string ConcatColsShape(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0)) || !Rank2(In(n, 1))) {
+    return Fail(n, "both inputs must be rank 2");
+  }
+  if (In(n, 0)[0] != In(n, 1)[0]) return Fail(n, "row counts must agree");
+  if (Out(n) != Shape{In(n, 0)[0], In(n, 0)[1] + In(n, 1)[1]}) {
+    return Fail(n, "output must be [rows, cols0 + cols1]");
+  }
+  return "";
+}
+
+std::string ConcatRowsShape(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0)) || !Rank2(In(n, 1))) {
+    return Fail(n, "both inputs must be rank 2");
+  }
+  if (In(n, 0)[1] != In(n, 1)[1]) return Fail(n, "column counts must agree");
+  if (Out(n) != Shape{In(n, 0)[0] + In(n, 1)[0], In(n, 0)[1]}) {
+    return Fail(n, "output must be [rows0 + rows1, cols]");
+  }
+  return "";
+}
+
+std::string StackRowsShape(const Node& n) {
+  if (n.parents.empty()) return Fail(n, "expected at least one input");
+  const int64_t d = RowWidth(In(n, 0));
+  if (d < 0) return Fail(n, "inputs must be [1, d] or rank-1 rows");
+  for (size_t i = 1; i < n.parents.size(); ++i) {
+    if (RowWidth(In(n, i)) != d) {
+      return Fail(n, "all rows must share one width");
+    }
+  }
+  if (Out(n) != Shape{static_cast<int64_t>(n.parents.size()), d}) {
+    return Fail(n, "output must be [row count, row width]");
+  }
+  return "";
+}
+
+// Slice bounds are op attributes the node does not carry, so the rule is
+// bounded rather than exact: column-preserving, never more rows than the
+// input.
+std::string SliceRowsShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (Rank2(In(n, 0))) {
+    if (!Rank2(Out(n)) || Out(n)[1] != In(n, 0)[1]) {
+      return Fail(n, "output must keep the input's column count");
+    }
+    if (Out(n)[0] < 1 || Out(n)[0] > In(n, 0)[0]) {
+      return Fail(n, "output rows must be in [1, input rows]");
+    }
+    return "";
+  }
+  if (prof::NumElems(Out(n)) < 1 ||
+      prof::NumElems(Out(n)) > prof::NumElems(In(n, 0))) {
+    return Fail(n, "output cannot outsize the input");
+  }
+  return "";
+}
+
+// Gather indices are invisible; the row count is whatever was asked for.
+std::string GatherRowsShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "table must be rank 2");
+  if (!Rank2(Out(n)) || Out(n)[1] != In(n, 0)[1]) {
+    return Fail(n, "output must keep the table's column count");
+  }
+  if (Out(n)[0] < 1) return Fail(n, "output must gather at least one row");
+  return "";
+}
+
+// The mask is an op attribute (invisible here); both inputs and the output
+// must agree exactly.
+std::string SelectRowsByMaskShape(const Node& n) {
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(Out(n))) return Fail(n, "output must be rank 2");
+  if (Out(n) != In(n, 0) || Out(n) != In(n, 1)) {
+    return Fail(n, "output must match both input shapes");
+  }
+  return "";
+}
+
+// Segment ids are invisible; the segment count is whatever was asked for,
+// but the column width must survive the reduction.
+std::string SegmentSumRowsShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input must be rank 2");
+  if (!Rank2(Out(n)) || Out(n)[1] != In(n, 0)[1]) {
+    return Fail(n, "output must keep the input's column count");
+  }
+  if (Out(n)[0] < 1) return Fail(n, "output must have at least one segment");
+  return "";
+}
+
+std::string RepeatRowShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  const int64_t d = RowWidth(In(n, 0));
+  if (d < 0) return Fail(n, "input must be a [1, d] row");
+  if (!Rank2(Out(n)) || Out(n)[1] != d || Out(n)[0] < 1) {
+    return Fail(n, "output must be [n >= 1, input width]");
+  }
+  return "";
+}
+
+std::string ScalarOutput(const Node& n) {
+  if (prof::NumElems(Out(n)) != 1) return Fail(n, "output must be a scalar");
+  return "";
+}
+
+std::string SumAllShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  return ScalarOutput(n);
+}
+
+std::string SumRowsTo1xDShape(const Node& n) {  // [n, d] -> [1, d]
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input must be rank 2");
+  if (Out(n) != Shape{1, In(n, 0)[1]}) {
+    return Fail(n, "output must be [1, input cols]");
+  }
+  return "";
+}
+
+std::string SumColsToNx1Shape(const Node& n) {  // [n, d] -> [n, 1]
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "input must be rank 2");
+  if (Out(n) != Shape{In(n, 0)[0], 1}) {
+    return Fail(n, "output must be [input rows, 1]");
+  }
+  return "";
+}
+
+std::string SoftmaxCrossEntropyShape(const Node& n) {
+  if (std::string e = WantArity(n, 1); !e.empty()) return e;
+  if (!Rank2(In(n, 0))) return Fail(n, "logits must be rank 2");
+  return ScalarOutput(n);
+}
+
+// ---- Cost models ------------------------------------------------------------
+//
+// Contract (DESIGN.md §13): flops counts arithmetic operations (one
+// multiply-add = 2), transcendentals (exp/tanh/log/...) are charged a flat
+// 4 flops/element, and bytes assume every operand is streamed exactly once —
+// a traffic lower bound, not a cache model. Multi-pass reductions (softmax,
+// layernorm) charge one flop per element per pass.
+
+using prof::OpCost;
+using prof::ShapeInfo;
+
+constexpr double kB = 4.0;  // bytes per float32 element
+
+double OutElems(const ShapeInfo& s) {
+  return static_cast<double>(prof::NumElems(s.output));
+}
+
+double InElems(const ShapeInfo& s, size_t i) {
+  return static_cast<double>(prof::NumElems(s.inputs[i]));
+}
+
+double AllInElems(const ShapeInfo& s) {
+  double n = 0.0;
+  for (const auto& shape : s.inputs) {
+    n += static_cast<double>(prof::NumElems(shape));
+  }
+  return n;
+}
+
+/// Trailing dimension of the output ([ ] -> 1).
+double OutLastDim(const ShapeInfo& s) {
+  return s.output.empty() ? 1.0 : static_cast<double>(s.output.back());
+}
+
+/// One flop per output element over every input (elementwise, broadcasts).
+OpCost ElementwiseCost(const ShapeInfo& s) {
+  return {OutElems(s), kB * AllInElems(s), kB * OutElems(s)};
+}
+
+OpCost UnaryCost(const ShapeInfo& s) {
+  return {OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+OpCost TranscendentalCost(const ShapeInfo& s) {
+  return {4.0 * OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// MatMul [n,k]x[k,m]: 2nkm flops (n*k input elements each fused
+// multiply-added across the m output columns).
+OpCost MatMulCost(const ShapeInfo& s) {
+  return {2.0 * InElems(s, 0) * OutLastDim(s), kB * AllInElems(s),
+          kB * OutElems(s)};
+}
+
+/// Pure copy that reads all of input 0.
+OpCost CopyInputCost(const ShapeInfo& s) {
+  return {0.0, kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+/// Pure copy that reads every input.
+OpCost ConcatCost(const ShapeInfo& s) {
+  return {0.0, kB * AllInElems(s), kB * OutElems(s)};
+}
+
+// Slices and embedding gathers touch only the selected rows, so traffic is
+// proportional to the *output*, not the input.
+OpCost CopyOutputCost(const ShapeInfo& s) {
+  return {0.0, kB * OutElems(s), kB * OutElems(s)};
+}
+
+// Row select: pure copies; reads one source row per output row plus the
+// [n, 1] mask column.
+OpCost SelectRowsByMaskCost(const ShapeInfo& s) {
+  return {0.0, kB * (OutElems(s) + OutElems(s) / OutLastDim(s)),
+          kB * OutElems(s)};
+}
+
+/// One add per input element (sums, segment sums).
+OpCost ReduceCost(const ShapeInfo& s) {
+  return {InElems(s, 0), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// Softmax: max + subtract + exp(4) + sum + divide = 8 passes-worth.
+OpCost SoftmaxCost(const ShapeInfo& s) {
+  return {8.0 * OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// L2 normalize: square-accumulate (2n) + divide (n).
+OpCost L2NormalizeCost(const ShapeInfo& s) {
+  return {3.0 * OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// LayerNorm: mean (n) + centered variance (2n) + subtract (n) + scale (n).
+OpCost LayerNormCost(const ShapeInfo& s) {
+  return {5.0 * OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// Fused softmax (8 passes) + log-likelihood pick + reduce (~1 pass).
+OpCost SoftmaxCrossEntropyCost(const ShapeInfo& s) {
+  return {9.0 * InElems(s, 0), kB * InElems(s, 0), kB * OutElems(s)};
+}
+
+// ---- Gradcheck inputs -------------------------------------------------------
+//
+// Small shapes, value ranges kept clear of each op's non-differentiable
+// points, and attributes (in the table's apply functions) that reach the
+// backward's edge cases.
+
+Tensor Rand(Shape shape, Rng* rng, float lo = -1.0f, float hi = 1.0f) {
+  return Tensor::RandUniform(std::move(shape), lo, hi, rng);
+}
+
+/// Random values bounded away from zero (for kinked ops like Relu: the
+/// central-difference step must not cross the kink).
+Tensor RandAwayFromZero(Shape shape, Rng* rng, float min_mag = 0.2f,
+                        float max_mag = 1.0f) {
+  Tensor t = Rand(std::move(shape), rng, min_mag, max_mag);
+  for (int64_t i = 0; i < t.size(); ++i) {
+    if (rng->Bernoulli(0.5)) t.data()[i] = -t.data()[i];
+  }
+  return t;
+}
+
+Tensors Matrix(Rng* r) { return {Rand({3, 4}, r)}; }
+Tensors TwoMatrices(Rng* r) { return {Rand({3, 4}, r), Rand({3, 4}, r)}; }
+Tensors MatrixAndRow(Rng* r) { return {Rand({3, 4}, r), Rand({1, 4}, r)}; }
+Tensors MatrixAndCol(Rng* r) { return {Rand({3, 4}, r), Rand({3, 1}, r)}; }
+Tensors SixRows(Rng* r) { return {Rand({6, 3}, r)}; }
+Tensors OneRow(Rng* r) { return {Rand({1, 4}, r)}; }
+
+// ---- The table --------------------------------------------------------------
+
+constexpr OpDef kOpTable[] = {
+    {OpId::kAdd, "Add", SameShapeBinary, ElementwiseCost,
+     {TwoMatrices, [](const Leaves& l) { return Add(l[0], l[1]); }}},
+    {OpId::kSub, "Sub", SameShapeBinary, ElementwiseCost,
+     {TwoMatrices, [](const Leaves& l) { return Sub(l[0], l[1]); }}},
+    {OpId::kMul, "Mul", SameShapeBinary, ElementwiseCost,
+     {TwoMatrices, [](const Leaves& l) { return Mul(l[0], l[1]); }}},
+    {OpId::kAddRowBroadcast, "AddRowBroadcast", RowBroadcast, ElementwiseCost,
+     {MatrixAndRow,
+      [](const Leaves& l) { return AddRowBroadcast(l[0], l[1]); }}},
+    {OpId::kMulRowBroadcast, "MulRowBroadcast", RowBroadcast, ElementwiseCost,
+     {MatrixAndRow,
+      [](const Leaves& l) { return MulRowBroadcast(l[0], l[1]); }}},
+    {OpId::kMulColBroadcast, "MulColBroadcast", MulColBroadcastShape,
+     ElementwiseCost,
+     {MatrixAndCol,
+      [](const Leaves& l) { return MulColBroadcast(l[0], l[1]); }}},
+    {OpId::kScale, "Scale", SameAsInput, UnaryCost,
+     {Matrix, [](const Leaves& l) { return Scale(l[0], -1.7f); }}},
+    {OpId::kAddScalar, "AddScalar", SameAsInput, UnaryCost,
+     {Matrix, [](const Leaves& l) { return AddScalar(l[0], 0.37f); }}},
+    {OpId::kMatMul, "MatMul", MatMulShape, MatMulCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r), Rand({4, 2}, r)}; },
+      [](const Leaves& l) { return MatMul(l[0], l[1]); }}},
+    {OpId::kTranspose, "Transpose", TransposeShape, CopyInputCost,
+     {Matrix, [](const Leaves& l) { return Transpose(l[0]); }}},
+    {OpId::kSigmoid, "Sigmoid", SameAsInput, TranscendentalCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r, -2.0f, 2.0f)}; },
+      [](const Leaves& l) { return Sigmoid(l[0]); }}},
+    {OpId::kTanh, "Tanh", SameAsInput, TranscendentalCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r, -2.0f, 2.0f)}; },
+      [](const Leaves& l) { return Tanh(l[0]); }}},
+    {OpId::kRelu, "Relu", SameAsInput, UnaryCost,
+     {[](Rng* r) -> Tensors { return {RandAwayFromZero({3, 4}, r)}; },
+      [](const Leaves& l) { return Relu(l[0]); }}},
+    {OpId::kExp, "Exp", SameAsInput, TranscendentalCost,
+     {Matrix, [](const Leaves& l) { return Exp(l[0]); }}},
+    {OpId::kLog, "Log", SameAsInput, TranscendentalCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r, 0.5f, 2.0f)}; },
+      [](const Leaves& l) { return Log(l[0]); }}},
+    {OpId::kConcatCols, "ConcatCols", ConcatColsShape, ConcatCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 2}, r), Rand({3, 3}, r)}; },
+      [](const Leaves& l) { return ConcatCols(l[0], l[1]); }}},
+    {OpId::kConcatRows, "ConcatRows", ConcatRowsShape, ConcatCost,
+     {[](Rng* r) -> Tensors { return {Rand({2, 4}, r), Rand({3, 4}, r)}; },
+      [](const Leaves& l) { return ConcatRows(l[0], l[1]); }}},
+    {OpId::kStackRows, "StackRows", StackRowsShape, ConcatCost,
+     {[](Rng* r) -> Tensors {
+        return {Rand({1, 4}, r), Rand({1, 4}, r), Rand({1, 4}, r)};
+      },
+      [](const Leaves& l) { return StackRows(l); }}},
+    {OpId::kSliceRows, "SliceRows", SliceRowsShape, CopyOutputCost,
+     {[](Rng* r) -> Tensors { return {Rand({5, 3}, r)}; },
+      [](const Leaves& l) { return SliceRows(l[0], 1, 4); }}},
+    // Repeated index 2 exercises the scatter-add accumulation in backward.
+    {OpId::kGatherRows, "GatherRows", GatherRowsShape, CopyOutputCost,
+     {SixRows, [](const Leaves& l) { return GatherRows(l[0], {0, 2, 2, 5}); }}},
+    // Mixed mask: rows 0/2/4 select from a, rows 1/3 from b — each leaf
+    // must see gradient only on its selected rows and exact zero elsewhere.
+    {OpId::kSelectRowsByMask, "SelectRowsByMask", SelectRowsByMaskShape,
+     SelectRowsByMaskCost,
+     {[](Rng* r) -> Tensors { return {Rand({5, 3}, r), Rand({5, 3}, r)}; },
+      [](const Leaves& l) {
+        return SelectRowsByMask(l[0], l[1], Tensor({5, 1}, {1, 0, 1, 0, 1}));
+      }}},
+    // Ragged contiguous segments with segment 3 empty: its output row (and
+    // the gathered backward) must be exactly zero.
+    {OpId::kSegmentSumRows, "SegmentSumRows", SegmentSumRowsShape, ReduceCost,
+     {SixRows,
+      [](const Leaves& l) {
+        return SegmentSumRows(l[0], {0, 0, 1, 2, 2, 2}, 4);
+      }}},
+    // Row 0 partially masked, row 1 fully visible, row 2 fully masked (its
+    // output and gradient must both be exactly zero).
+    {OpId::kRowSoftmaxMasked, "RowSoftmaxMasked", SameAsInputRank2,
+     SoftmaxCost,
+     {Matrix,
+      [](const Leaves& l) {
+        return RowSoftmaxMasked(l[0], Tensor({3, 4}, {1, 0, 1, 0,  //
+                                                      1, 1, 1, 1,  //
+                                                      0, 0, 0, 0}));
+      }}},
+    {OpId::kSumAll, "SumAll", SumAllShape, ReduceCost,
+     {Matrix, [](const Leaves& l) { return SumAll(l[0]); }}},
+    {OpId::kSumRowsTo1xD, "SumRowsTo1xD", SumRowsTo1xDShape, ReduceCost,
+     {Matrix, [](const Leaves& l) { return SumRowsTo1xD(l[0]); }}},
+    {OpId::kSumColsToNx1, "SumColsToNx1", SumColsToNx1Shape, ReduceCost,
+     {Matrix, [](const Leaves& l) { return SumColsToNx1(l[0]); }}},
+    {OpId::kRepeatRow, "RepeatRow", RepeatRowShape, CopyInputCost,
+     {OneRow, [](const Leaves& l) { return RepeatRow(l[0], 3); }}},
+    // Rows bounded away from zero norm: the op leaves zero rows zero, a
+    // non-differentiable special case the checker must not straddle.
+    {OpId::kL2NormalizeRowsOp, "L2NormalizeRowsOp", SameAsInput,
+     L2NormalizeCost,
+     {[](Rng* r) -> Tensors {
+        return {RandAwayFromZero({3, 4}, r, 0.4f, 1.2f)};
+      },
+      [](const Leaves& l) { return L2NormalizeRowsOp(l[0]); }}},
+    {OpId::kLayerNormRows, "LayerNormRows", SameAsInputRank2, LayerNormCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 6}, r)}; },
+      [](const Leaves& l) { return LayerNormRows(l[0]); }}},
+    // A fresh identically-seeded Rng per call: the mask is part of the
+    // function, so the loss stays a pure function of the leaves.
+    {OpId::kDropout, "Dropout", SameAsInput, UnaryCost,
+     {Matrix,
+      [](const Leaves& l) {
+        Rng mask_rng(kGradCheckSeed + 1);
+        return Dropout(l[0], 0.3f, /*training=*/true, &mask_rng);
+      }}},
+    {OpId::kSoftmaxCrossEntropy, "SoftmaxCrossEntropy",
+     SoftmaxCrossEntropyShape, SoftmaxCrossEntropyCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 5}, r)}; },
+      [](const Leaves& l) { return SoftmaxCrossEntropy(l[0], {1, 4, 2}); }}},
+};
+
+// Coverage by construction: an op cannot be added, reordered or left
+// without a shape rule, cost or gradcheck and still compile.
+static_assert(std::size(kOpTable) == static_cast<size_t>(OpId::kCount),
+              "kOpTable needs exactly one entry per OpId");
+static_assert(
+    [] {
+      for (size_t i = 0; i < std::size(kOpTable); ++i) {
+        if (kOpTable[i].id != static_cast<OpId>(i)) return false;
+      }
+      return true;
+    }(),
+    "kOpTable entries must follow OpId order");
+static_assert(
+    [] {
+      for (const OpDef& d : kOpTable) {
+        if (d.name == nullptr || d.shape_rule == nullptr ||
+            d.cost == nullptr || d.gradcheck.inputs == nullptr ||
+            d.gradcheck.apply == nullptr) {
+          return false;
+        }
+      }
+      return true;
+    }(),
+    "every kOpTable entry needs a name, shape rule, cost and gradcheck");
+
+}  // namespace
+
+std::span<const OpDef> OpTable() { return kOpTable; }
 
 }  // namespace ag
 }  // namespace embsr

@@ -10,7 +10,9 @@ namespace embsr {
 namespace ag {
 
 /// Differentiable operations. Every function builds one node in the
-/// computation graph; gradients flow to any input with requires_grad set.
+/// computation graph (Neg, Row, RowSoftmax and MeanRowsTo1xD build the node
+/// of the op they lower to); gradients flow to any input with requires_grad
+/// set. Each node-building op has one entry in ag::OpTable() (op_def.h).
 /// Shape contracts mirror the kernels in tensor/tensor.h.
 
 // Elementwise; shapes must match.

@@ -2,6 +2,7 @@
 
 #include <unordered_set>
 
+#include "autograd/op_def.h"
 #include "autograd/tape.h"
 #include "obs/trace.h"
 #include "prof/op_profiler.h"
@@ -84,7 +85,7 @@ void Variable::Backward() const {
       if (pc != nullptr) {
         const int64_t t0 = prof::NowNs();
         n->backward_fn(n);
-        pc->RecordBackward(n->op, n->component, prof::NowNs() - t0);
+        pc->RecordBackward(n->def->name, n->component, prof::NowNs() - t0);
       } else {
         n->backward_fn(n);
       }

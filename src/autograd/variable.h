@@ -10,6 +10,8 @@
 namespace embsr {
 namespace ag {
 
+struct OpDef;
+
 /// Internal graph node for reverse-mode autodiff. Do not use directly;
 /// interact through Variable and the ops in ops.h.
 struct Node {
@@ -23,10 +25,9 @@ struct Node {
   std::vector<std::shared_ptr<Node>> parents;
   /// Propagates this node's grad into its parents' grads. Null for leaves.
   std::function<void(Node*)> backward_fn;
-  /// Static name of the op that produced this node; "leaf" for Variables
-  /// built directly (parameters, constants). Always a string literal, so
-  /// storing the pointer is safe.
-  const char* op = "leaf";
+  /// Table entry (op_def.h) of the op that produced this node; null for
+  /// Variables built directly (parameters, constants).
+  const OpDef* def = nullptr;
   /// Model-component label (prof::ComponentScope) active when the node was
   /// recorded; set only while profiling, so backward time lands in the same
   /// component bucket as forward time. Null or a string literal.

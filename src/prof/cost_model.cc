@@ -1,49 +1,12 @@
 #include "prof/cost_model.h"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
-
 namespace embsr {
 namespace prof {
-
-namespace {
-
-// Lookups happen only while profiling is enabled, so a plain mutex-guarded
-// map is fine; the EMBSR_PROF-off fast path never reaches here.
-std::mutex g_mu;
-std::map<std::string, CostFn>& Registry() {
-  static std::map<std::string, CostFn>* m =
-      new std::map<std::string, CostFn>();  // lint: allow(raw-new): leaked singleton
-  return *m;
-}
-
-}  // namespace
 
 int64_t NumElems(const std::vector<int64_t>& shape) {
   int64_t n = 1;
   for (int64_t d : shape) n *= d;
   return n;
-}
-
-void RegisterOpCost(const std::string& op, CostFn fn) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  Registry()[op] = fn;
-}
-
-CostFn FindOpCost(const char* op) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  auto& reg = Registry();
-  auto it = reg.find(op);
-  return it == reg.end() ? nullptr : it->second;
-}
-
-std::vector<std::string> RegisteredOpCostNames() {
-  std::lock_guard<std::mutex> lock(g_mu);
-  std::vector<std::string> names;
-  names.reserve(Registry().size());
-  for (const auto& kv : Registry()) names.push_back(kv.first);
-  return names;  // std::map iterates sorted
 }
 
 }  // namespace prof

@@ -2,7 +2,6 @@
 #define EMBSR_PROF_COST_MODEL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace embsr {
@@ -31,18 +30,8 @@ struct ShapeInfo {
 /// Number of elements in a shape ([] is a scalar: 1 element).
 int64_t NumElems(const std::vector<int64_t>& shape);
 
+/// Each op's cost function lives in its ag::OpDef entry (autograd/op_def.h).
 using CostFn = OpCost (*)(const ShapeInfo&);
-
-/// Registers (or overwrites) the cost model for `op`. Op names are the
-/// string literals passed to ag::MakeOp. Thread-safe.
-void RegisterOpCost(const std::string& op, CostFn fn);
-
-/// Returns the registered cost model, or nullptr. Thread-safe.
-CostFn FindOpCost(const char* op);
-
-/// Sorted names of every registered cost model (coverage scans compare
-/// this against the ops.h declaration list).
-std::vector<std::string> RegisteredOpCostNames();
 
 }  // namespace prof
 }  // namespace embsr

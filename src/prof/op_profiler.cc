@@ -4,7 +4,6 @@
 #include <map>
 #include <mutex>
 
-#include "obs/metrics.h"
 #include "util/env.h"
 
 namespace embsr {
@@ -67,12 +66,6 @@ std::atomic<int64_t> g_start_ns{0};
 std::atomic<int64_t> g_stop_ns{0};
 
 thread_local const char* t_component = nullptr;
-
-obs::Counter* UncoveredOpCounter() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter("prof/uncovered_cost_ops");
-  return c;
-}
 
 }  // namespace
 
@@ -272,8 +265,6 @@ ProfileSnapshot Snapshot() {
   snap.lanes = LaneSnapshot();
   return snap;
 }
-
-void CountUncoveredOp() { UncoveredOpCounter()->Increment(); }
 
 }  // namespace prof
 }  // namespace embsr

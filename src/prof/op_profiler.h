@@ -134,11 +134,6 @@ struct ProfileSnapshot {
 
 ProfileSnapshot Snapshot();
 
-/// Bumps `prof/uncovered_cost_ops` — recorded when an op reaches the
-/// profiler without a registered cost model. The source scan should make
-/// this impossible; the counter is a runtime tripwire for it.
-void CountUncoveredOp();
-
 /// The BENCH_*.json schema-v3 `profile` block (one JSON object; see
 /// DESIGN.md §13 and scripts/check_bench_json.py). Valid — with
 /// `"enabled": false` — even when no session ever ran.

@@ -8,65 +8,86 @@
 
 namespace embsr {
 
+namespace {
+
+using Factory = std::unique_ptr<Recommender> (*)(const std::string& name,
+                                                 int64_t num_items,
+                                                 int64_t num_operations,
+                                                 const TrainConfig& config);
+
+/// Memory-based baselines: no operations, no training config.
+template <typename Model>
+std::unique_ptr<Recommender> MemoryBased(const std::string&, int64_t num_items,
+                                         int64_t, const TrainConfig&) {
+  return std::make_unique<Model>(num_items);
+}
+
+template <typename Model>
+std::unique_ptr<Recommender> Neural(const std::string&, int64_t num_items,
+                                    int64_t num_operations,
+                                    const TrainConfig& config) {
+  return std::make_unique<Model>(num_items, num_operations, config);
+}
+
+/// EMBSR and its ablation variants, named after their table entry.
+template <EmbsrConfig (*Variant)()>
+std::unique_ptr<Recommender> Embsr(const std::string& name, int64_t num_items,
+                                   int64_t num_operations,
+                                   const TrainConfig& config) {
+  return std::make_unique<EmbsrModel>(name, num_items, num_operations, config,
+                                      Variant());
+}
+
+struct ZooEntry {
+  const char* name;
+  Factory make;
+};
+
+constexpr ZooEntry kZoo[] = {
+    {"S-POP", MemoryBased<SPop>},
+    {"SKNN", MemoryBased<Sknn>},
+    {"NARM", Neural<Narm>},
+    {"STAMP", Neural<Stamp>},
+    {"SR-GNN", Neural<SrGnn>},
+    {"GC-SAN", Neural<GcSan>},
+    {"BERT4Rec", Neural<Bert4Rec>},
+    {"SGNN-HN", Neural<SgnnHn>},
+    {"RIB", Neural<Rib>},
+    {"HUP", Neural<Hup>},
+    {"MKM-SR", Neural<MkmSr>},
+    {"GRU4Rec", Neural<Gru4Rec>},
+    {"FPMC", Neural<Fpmc>},
+    {"STAN", MemoryBased<Stan>},
+    {"EMBSR", Embsr<EmbsrVariants::Full>},
+    {"EMBSR-NS", Embsr<EmbsrVariants::NoSelfAttention>},
+    {"EMBSR-NG", Embsr<EmbsrVariants::NoGnn>},
+    {"EMBSR-NF", Embsr<EmbsrVariants::NoFusionGate>},
+    {"SGNN-Self", Embsr<EmbsrVariants::SgnnSelf>},
+    {"SGNN-Seq-Self", Embsr<EmbsrVariants::SgnnSeqSelf>},
+    {"RNN-Self", Embsr<EmbsrVariants::RnnSelf>},
+    {"SGNN-Abs-Self", Embsr<EmbsrVariants::SgnnAbsSelf>},
+    {"SGNN-Dyadic", Embsr<EmbsrVariants::SgnnDyadic>},
+    {"EMBSR-W", Embsr<EmbsrVariants::WeightedOps>},
+};
+
+}  // namespace
+
 std::unique_ptr<Recommender> CreateModel(const std::string& name,
                                          int64_t num_items,
                                          int64_t num_operations,
                                          const TrainConfig& config) {
-  if (name == "S-POP") return std::make_unique<SPop>(num_items);
-  if (name == "SKNN") return std::make_unique<Sknn>(num_items);
-  if (name == "NARM") {
-    return std::make_unique<Narm>(num_items, num_operations, config);
+  for (const ZooEntry& entry : kZoo) {
+    if (name == entry.name) {
+      return entry.make(name, num_items, num_operations, config);
+    }
   }
-  if (name == "STAMP") {
-    return std::make_unique<Stamp>(num_items, num_operations, config);
-  }
-  if (name == "SR-GNN") {
-    return std::make_unique<SrGnn>(num_items, num_operations, config);
-  }
-  if (name == "GC-SAN") {
-    return std::make_unique<GcSan>(num_items, num_operations, config);
-  }
-  if (name == "BERT4Rec") {
-    return std::make_unique<Bert4Rec>(num_items, num_operations, config);
-  }
-  if (name == "SGNN-HN") {
-    return std::make_unique<SgnnHn>(num_items, num_operations, config);
-  }
-  if (name == "RIB") {
-    return std::make_unique<Rib>(num_items, num_operations, config);
-  }
-  if (name == "HUP") {
-    return std::make_unique<Hup>(num_items, num_operations, config);
-  }
-  if (name == "MKM-SR") {
-    return std::make_unique<MkmSr>(num_items, num_operations, config);
-  }
-  if (name == "GRU4Rec") {
-    return std::make_unique<Gru4Rec>(num_items, num_operations, config);
-  }
-  if (name == "FPMC") {
-    return std::make_unique<Fpmc>(num_items, num_operations, config);
-  }
-  if (name == "STAN") return std::make_unique<Stan>(num_items);
-  auto make_variant = [&](const EmbsrConfig& vc) {
-    return std::make_unique<EmbsrModel>(name, num_items, num_operations,
-                                        config, vc);
-  };
-  if (name == "EMBSR") return make_variant(EmbsrVariants::Full());
-  if (name == "EMBSR-NS") return make_variant(EmbsrVariants::NoSelfAttention());
-  if (name == "EMBSR-NG") return make_variant(EmbsrVariants::NoGnn());
-  if (name == "EMBSR-NF") return make_variant(EmbsrVariants::NoFusionGate());
-  if (name == "SGNN-Self") return make_variant(EmbsrVariants::SgnnSelf());
-  if (name == "SGNN-Seq-Self") {
-    return make_variant(EmbsrVariants::SgnnSeqSelf());
-  }
-  if (name == "RNN-Self") return make_variant(EmbsrVariants::RnnSelf());
-  if (name == "SGNN-Abs-Self") {
-    return make_variant(EmbsrVariants::SgnnAbsSelf());
-  }
-  if (name == "SGNN-Dyadic") return make_variant(EmbsrVariants::SgnnDyadic());
-  if (name == "EMBSR-W") return make_variant(EmbsrVariants::WeightedOps());
   return nullptr;
+}
+
+std::vector<std::string> ZooModelNames() {
+  std::vector<std::string> names;
+  for (const ZooEntry& entry : kZoo) names.push_back(entry.name);
+  return names;
 }
 
 std::vector<std::string> Table3ModelNames() {

@@ -9,16 +9,15 @@
 
 namespace embsr {
 
-/// Builds any model in the paper's comparison by name. Recognized names:
-/// "S-POP", "SKNN", "NARM", "STAMP", "SR-GNN", "GC-SAN", "BERT4Rec",
-/// "SGNN-HN", "RIB", "HUP", "MKM-SR", "EMBSR", and the EMBSR variants
-/// "EMBSR-NS", "EMBSR-NG", "EMBSR-NF", "SGNN-Self", "SGNN-Seq-Self",
-/// "RNN-Self", "SGNN-Abs-Self", "SGNN-Dyadic". Returns null for unknown
-/// names.
+/// Builds any model in the paper's comparison by name (one of
+/// ZooModelNames()). Returns null for unknown names.
 std::unique_ptr<Recommender> CreateModel(const std::string& name,
                                          int64_t num_items,
                                          int64_t num_operations,
                                          const TrainConfig& config);
+
+/// Every name CreateModel builds, in zoo table order.
+std::vector<std::string> ZooModelNames();
 
 /// The twelve systems of the paper's Table III, in column order.
 std::vector<std::string> Table3ModelNames();

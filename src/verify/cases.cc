@@ -5,7 +5,7 @@
 #include "nn/layers.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
-#include "verify/registry.h"
+#include "verify/gradcheck.h"
 
 namespace embsr {
 namespace verify {
@@ -14,22 +14,11 @@ namespace {
 
 // Fixed seeds keep every case a pure function: the same values, masks and
 // weights on every run, so a tolerance that passes once passes forever.
-constexpr uint64_t kCaseSeed = 0xC0FFEEULL;
+constexpr uint64_t kCaseSeed = ag::kGradCheckSeed;
 
 Tensor Rand(std::vector<int64_t> shape, Rng* rng, float lo = -1.0f,
             float hi = 1.0f) {
   return Tensor::RandUniform(std::move(shape), lo, hi, rng);
-}
-
-/// Random values bounded away from zero (for kinked ops like Relu: the
-/// central-difference step must not cross the kink).
-Tensor RandAwayFromZero(std::vector<int64_t> shape, Rng* rng,
-                        float min_mag = 0.2f, float max_mag = 1.0f) {
-  Tensor t = Rand(std::move(shape), rng, min_mag, max_mag);
-  for (int64_t i = 0; i < t.size(); ++i) {
-    if (rng->Bernoulli(0.5)) t.data()[i] = -t.data()[i];
-  }
-  return t;
 }
 
 /// Weighted sum with fixed random weights: reduces any tensor to a scalar
@@ -41,92 +30,12 @@ ag::Variable WeightedSum(const ag::Variable& v, const Tensor& weights) {
 
 ag::Variable Leaf(const Tensor& t) { return ag::Variable(t, true); }
 
-using CaseFn = GradCheckResult (*)();
-
-void Register(const char* kind, const char* name, CaseFn fn) {
-  GradCheckRegistry::Global().Register(kind, name, fn);
-}
-
-// ---- Op cases ---------------------------------------------------------------
+// ---- Composite cases --------------------------------------------------------
 //
-// One case per function in autograd/ops.h, named identically. Each builds a
-// small graph `loss = WeightedSum(Op(leaves...))` and compares backward
-// against central differences over every leaf element.
-
-GradCheckResult CheckBinaryElementwise(
-    ag::Variable (*op)(const ag::Variable&, const ag::Variable&)) {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng)),
-                                      Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [op, w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(op(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseAdd() { return CheckBinaryElementwise(&ag::Add); }
-GradCheckResult CaseSub() { return CheckBinaryElementwise(&ag::Sub); }
-GradCheckResult CaseMul() { return CheckBinaryElementwise(&ag::Mul); }
-
-GradCheckResult CaseAddRowBroadcast() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng)),
-                                      Leaf(Rand({1, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::AddRowBroadcast(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseMulRowBroadcast() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng)),
-                                      Leaf(Rand({1, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::MulRowBroadcast(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseMulColBroadcast() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng)),
-                                      Leaf(Rand({3, 1}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::MulColBroadcast(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseScale() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::Scale(l[0], -1.7f), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseAddScalar() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::AddScalar(l[0], 0.37f), w);
-      },
-      leaves);
-}
+// The ops.h functions that lower to table ops (Neg -> Scale, Row ->
+// SliceRows, RowSoftmax -> RowSoftmaxMasked, MeanRowsTo1xD ->
+// Scale(SumRowsTo1xD)) build no node of their own, so they have no table
+// entry; these cases check each lowering end to end.
 
 GradCheckResult CaseNeg() {
   Rng rng(kCaseSeed);
@@ -135,114 +44,6 @@ GradCheckResult CaseNeg() {
   return CheckGradients(
       [w](const std::vector<ag::Variable>& l) {
         return WeightedSum(ag::Neg(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseMatMul() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng)),
-                                      Leaf(Rand({4, 2}, &rng))};
-  const Tensor w = Rand({3, 2}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::MatMul(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseTranspose() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({4, 3}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::Transpose(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CheckUnaryElementwise(ag::Variable (*op)(const ag::Variable&),
-                                      float lo, float hi) {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng, lo, hi))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [op, w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(op(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSigmoid() {
-  return CheckUnaryElementwise(&ag::Sigmoid, -2.0f, 2.0f);
-}
-GradCheckResult CaseTanh() {
-  return CheckUnaryElementwise(&ag::Tanh, -2.0f, 2.0f);
-}
-GradCheckResult CaseExp() {
-  return CheckUnaryElementwise(&ag::Exp, -1.0f, 1.0f);
-}
-GradCheckResult CaseLog() {
-  return CheckUnaryElementwise(&ag::Log, 0.5f, 2.0f);
-}
-
-GradCheckResult CaseRelu() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {
-      Leaf(RandAwayFromZero({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::Relu(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseConcatCols() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 2}, &rng)),
-                                      Leaf(Rand({3, 3}, &rng))};
-  const Tensor w = Rand({3, 5}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::ConcatCols(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseConcatRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({2, 4}, &rng)),
-                                      Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({5, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::ConcatRows(l[0], l[1]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseStackRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({1, 4}, &rng)),
-                                      Leaf(Rand({1, 4}, &rng)),
-                                      Leaf(Rand({1, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::StackRows(l), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSliceRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({5, 3}, &rng))};
-  const Tensor w = Rand({3, 3}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::SliceRows(l[0], 1, 4), w);
       },
       leaves);
 }
@@ -258,64 +59,6 @@ GradCheckResult CaseRow() {
       leaves);
 }
 
-GradCheckResult CaseGatherRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({6, 3}, &rng))};
-  const Tensor w = Rand({4, 3}, &rng);
-  // Repeated index 2 exercises the scatter-add accumulation in backward.
-  const std::vector<int64_t> indices = {0, 2, 2, 5};
-  return CheckGradients(
-      [w, indices](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::GatherRows(l[0], indices), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSelectRowsByMask() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({5, 3}, &rng)),
-                                      Leaf(Rand({5, 3}, &rng))};
-  const Tensor w = Rand({5, 3}, &rng);
-  // Mixed mask: rows 0/2/4 select from a, rows 1/3 from b — each leaf must
-  // see gradient only on its selected rows and exact zero elsewhere.
-  const Tensor mask({5, 1}, {1, 0, 1, 0, 1});
-  return CheckGradients(
-      [w, mask](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::SelectRowsByMask(l[0], l[1], mask), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSegmentSumRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({6, 3}, &rng))};
-  const Tensor w = Rand({4, 3}, &rng);
-  // Ragged contiguous segments with segment 3 empty: its output row (and
-  // the gathered backward) must be exactly zero.
-  const std::vector<int64_t> segments = {0, 0, 1, 2, 2, 2};
-  return CheckGradients(
-      [w, segments](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::SegmentSumRows(l[0], segments, 4), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseRowSoftmaxMasked() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  // Row 0 partially masked, row 1 fully visible, row 2 fully masked (its
-  // output and gradient must both be exactly zero).
-  const Tensor mask({3, 4}, {1, 0, 1, 0,  //
-                             1, 1, 1, 1,  //
-                             0, 0, 0, 0});
-  return CheckGradients(
-      [w, mask](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::RowSoftmaxMasked(l[0], mask), w);
-      },
-      leaves);
-}
-
 GradCheckResult CaseRowSoftmax() {
   Rng rng(kCaseSeed);
   std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
@@ -327,40 +70,6 @@ GradCheckResult CaseRowSoftmax() {
       leaves);
 }
 
-GradCheckResult CaseSumAll() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        // SumAll is the reduction under test *and* the final scalarizer.
-        return ag::SumAll(ag::Mul(l[0], ag::Constant(w)));
-      },
-      leaves);
-}
-
-GradCheckResult CaseSumRowsTo1xD() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({1, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::SumRowsTo1xD(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSumColsToNx1() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 1}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::SumColsToNx1(l[0]), w);
-      },
-      leaves);
-}
-
 GradCheckResult CaseMeanRowsTo1xD() {
   Rng rng(kCaseSeed);
   std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
@@ -368,69 +77,6 @@ GradCheckResult CaseMeanRowsTo1xD() {
   return CheckGradients(
       [w](const std::vector<ag::Variable>& l) {
         return WeightedSum(ag::MeanRowsTo1xD(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseRepeatRow() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({1, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::RepeatRow(l[0], 3), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseL2NormalizeRowsOp() {
-  Rng rng(kCaseSeed);
-  // Rows bounded away from zero norm: the op leaves zero rows zero, a
-  // non-differentiable special case the checker must not straddle.
-  std::vector<ag::Variable> leaves = {
-      Leaf(RandAwayFromZero({3, 4}, &rng, 0.4f, 1.2f))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::L2NormalizeRowsOp(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseLayerNormRows() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 6}, &rng))};
-  const Tensor w = Rand({3, 6}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::LayerNormRows(l[0]), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseDropout() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        // Fresh identically-seeded Rng per invocation: the mask is part of
-        // the function, so the loss stays a pure function of the leaves.
-        Rng mask_rng(kCaseSeed + 1);
-        return WeightedSum(ag::Dropout(l[0], 0.3f, /*training=*/true,
-                                       &mask_rng),
-                           w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseSoftmaxCrossEntropy() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 5}, &rng))};
-  const std::vector<int64_t> targets = {1, 4, 2};
-  return CheckGradients(
-      [targets](const std::vector<ag::Variable>& l) {
-        return ag::SoftmaxCrossEntropy(l[0], targets);
       },
       leaves);
 }
@@ -506,49 +152,31 @@ GradCheckResult CaseFeedForward() {
 
 }  // namespace
 
-void RegisterBuiltinGradCheckCases() {
-  Register("op", "Add", &CaseAdd);
-  Register("op", "Sub", &CaseSub);
-  Register("op", "Mul", &CaseMul);
-  Register("op", "AddRowBroadcast", &CaseAddRowBroadcast);
-  Register("op", "MulRowBroadcast", &CaseMulRowBroadcast);
-  Register("op", "MulColBroadcast", &CaseMulColBroadcast);
-  Register("op", "Scale", &CaseScale);
-  Register("op", "AddScalar", &CaseAddScalar);
-  Register("op", "Neg", &CaseNeg);
-  Register("op", "MatMul", &CaseMatMul);
-  Register("op", "Transpose", &CaseTranspose);
-  Register("op", "Sigmoid", &CaseSigmoid);
-  Register("op", "Tanh", &CaseTanh);
-  Register("op", "Relu", &CaseRelu);
-  Register("op", "Exp", &CaseExp);
-  Register("op", "Log", &CaseLog);
-  Register("op", "ConcatCols", &CaseConcatCols);
-  Register("op", "ConcatRows", &CaseConcatRows);
-  Register("op", "StackRows", &CaseStackRows);
-  Register("op", "SliceRows", &CaseSliceRows);
-  Register("op", "Row", &CaseRow);
-  Register("op", "GatherRows", &CaseGatherRows);
-  Register("op", "SelectRowsByMask", &CaseSelectRowsByMask);
-  Register("op", "SegmentSumRows", &CaseSegmentSumRows);
-  Register("op", "RowSoftmaxMasked", &CaseRowSoftmaxMasked);
-  Register("op", "RowSoftmax", &CaseRowSoftmax);
-  Register("op", "SumAll", &CaseSumAll);
-  Register("op", "SumRowsTo1xD", &CaseSumRowsTo1xD);
-  Register("op", "SumColsToNx1", &CaseSumColsToNx1);
-  Register("op", "MeanRowsTo1xD", &CaseMeanRowsTo1xD);
-  Register("op", "RepeatRow", &CaseRepeatRow);
-  Register("op", "L2NormalizeRowsOp", &CaseL2NormalizeRowsOp);
-  Register("op", "LayerNormRows", &CaseLayerNormRows);
-  Register("op", "Dropout", &CaseDropout);
-  Register("op", "SoftmaxCrossEntropy", &CaseSoftmaxCrossEntropy);
+GradCheckResult CheckOpGradients(const ag::OpDef& def) {
+  Rng rng(kCaseSeed);
+  std::vector<ag::Variable> leaves;
+  for (const Tensor& t : def.gradcheck.inputs(&rng)) leaves.push_back(Leaf(t));
+  const Tensor w = Rand(def.gradcheck.apply(leaves).value().shape(), &rng);
+  return CheckGradients(
+      [apply = def.gradcheck.apply, w](const std::vector<ag::Variable>& l) {
+        return WeightedSum(apply(l), w);
+      },
+      leaves);
+}
 
-  Register("layer", "Linear", &CaseLinear);
-  Register("layer", "Embedding", &CaseEmbedding);
-  Register("layer", "GRUCell", &CaseGRUCell);
-  Register("layer", "GRU", &CaseGRU);
-  Register("layer", "LayerNorm", &CaseLayerNorm);
-  Register("layer", "FeedForward", &CaseFeedForward);
+std::vector<GradCheckCase> BuiltinGradCheckCases() {
+  return {
+      {"composite", "Neg", &CaseNeg},
+      {"composite", "Row", &CaseRow},
+      {"composite", "RowSoftmax", &CaseRowSoftmax},
+      {"composite", "MeanRowsTo1xD", &CaseMeanRowsTo1xD},
+      {"layer", "Linear", &CaseLinear},
+      {"layer", "Embedding", &CaseEmbedding},
+      {"layer", "GRUCell", &CaseGRUCell},
+      {"layer", "GRU", &CaseGRU},
+      {"layer", "LayerNorm", &CaseLayerNorm},
+      {"layer", "FeedForward", &CaseFeedForward},
+  };
 }
 
 }  // namespace verify

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "autograd/op_def.h"
 #include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "nn/module.h"
@@ -76,6 +77,23 @@ GradCheckResult CheckGradients(const LossFn& make_loss,
 GradCheckResult CheckModuleGradients(
     const nn::Module& module, const std::function<ag::Variable()>& make_loss,
     const GradCheckConfig& config = {});
+
+/// Checks one op through its table entry's gradcheck (ag::GradCheckDef):
+/// leaves from `inputs`, loss SumAll(Mul(apply(leaves), w)) with w a fixed
+/// random tensor shaped like the op's output.
+GradCheckResult CheckOpGradients(const ag::OpDef& def);
+
+/// A gradient check that is not a table op: a composite op from ops.h that
+/// lowers to table ops, or a layer class from nn/layers.h. `name` is the
+/// declared name, which is what the layer coverage test compares.
+struct GradCheckCase {
+  std::string kind;  // "composite" or "layer"
+  std::string name;
+  GradCheckResult (*run)();
+};
+
+/// The composite-op and layer cases (verify/cases.cc).
+std::vector<GradCheckCase> BuiltinGradCheckCases();
 
 }  // namespace verify
 }  // namespace embsr

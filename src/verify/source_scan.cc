@@ -32,23 +32,10 @@ Result<std::vector<std::string>> ScanFile(
 
 }  // namespace
 
-std::vector<std::string> DeclaredOpNames(const std::string& ops_header) {
-  // House style: each op is declared `Variable Name(` at the start of a
-  // line (multi-line parameter lists still put the name on the first line).
-  static const std::regex kOpDecl(R"(^Variable (\w+)\()",
-                                  std::regex::multiline);
-  return MatchAll(ops_header, kOpDecl);
-}
-
 std::vector<std::string> DeclaredLayerNames(const std::string& layers_header) {
   static const std::regex kLayerDecl(R"(^class (\w+) : public Module)",
                                      std::regex::multiline);
   return MatchAll(layers_header, kLayerDecl);
-}
-
-std::vector<std::string> DeclaredModelNames(const std::string& model_zoo_cc) {
-  static const std::regex kModelName(R"rx(name == "([^"]+)")rx");
-  return MatchAll(model_zoo_cc, kModelName);
 }
 
 std::vector<std::string> DeclaredTensorKernelNames(
@@ -69,39 +56,8 @@ std::vector<std::string> CoveredKernelEquivNames(
   return MatchAll(kernel_equiv_test_cc, kCoverMarker);
 }
 
-std::vector<std::string> CoveredModelAuditNames(
-    const std::string& model_audits_cc) {
-  // The quoted-string argument distinguishes marker uses from the macro's
-  // own #define line (whose argument is the bare token `name`).
-  static const std::regex kAuditMarker(R"rx(EMBSR_MODEL_AUDIT\("([^"]+)"\))rx");
-  return MatchAll(model_audits_cc, kAuditMarker);
-}
-
-std::vector<std::string> CoveredOpCostNames(const std::string& op_costs_cc) {
-  // The quoted-string argument distinguishes marker uses from the macro's
-  // own #define line (whose argument is the bare token `name`).
-  static const std::regex kCostMarker(R"rx(EMBSR_OP_COST\("([^"]+)"\))rx");
-  return MatchAll(op_costs_cc, kCostMarker);
-}
-
-std::vector<std::string> CoveredShapeRuleNames(
-    const std::string& shape_rules_cc) {
-  // The quoted-string argument distinguishes marker uses from the macro's
-  // own #define line (whose argument is the bare token `name`).
-  static const std::regex kShapeMarker(R"rx(EMBSR_SHAPE_RULE\("([^"]+)"\))rx");
-  return MatchAll(shape_rules_cc, kShapeMarker);
-}
-
-Result<std::vector<std::string>> ScanOpNames(const std::string& repo_root) {
-  return ScanFile(repo_root + "/src/autograd/ops.h", &DeclaredOpNames);
-}
-
 Result<std::vector<std::string>> ScanLayerNames(const std::string& repo_root) {
   return ScanFile(repo_root + "/src/nn/layers.h", &DeclaredLayerNames);
-}
-
-Result<std::vector<std::string>> ScanModelNames(const std::string& repo_root) {
-  return ScanFile(repo_root + "/src/train/model_zoo.cc", &DeclaredModelNames);
 }
 
 Result<std::vector<std::string>> ScanTensorKernelNames(
@@ -114,24 +70,6 @@ Result<std::vector<std::string>> ScanKernelEquivCoverage(
     const std::string& repo_root) {
   return ScanFile(repo_root + "/tests/kernel_equiv_test.cc",
                   &CoveredKernelEquivNames);
-}
-
-Result<std::vector<std::string>> ScanModelAuditCoverage(
-    const std::string& repo_root) {
-  return ScanFile(repo_root + "/src/analyze/model_audits.cc",
-                  &CoveredModelAuditNames);
-}
-
-Result<std::vector<std::string>> ScanOpCostCoverage(
-    const std::string& repo_root) {
-  return ScanFile(repo_root + "/src/autograd/op_costs.cc",
-                  &CoveredOpCostNames);
-}
-
-Result<std::vector<std::string>> ScanShapeRuleCoverage(
-    const std::string& repo_root) {
-  return ScanFile(repo_root + "/src/analyze/shape_rules.cc",
-                  &CoveredShapeRuleNames);
 }
 
 }  // namespace verify

@@ -9,26 +9,18 @@
 namespace embsr {
 namespace verify {
 
-/// Lightweight static scans of the repo's own sources. These are the
-/// enumeration half of the gradcheck coverage contract: the registry test
-/// scans the *declarations* (ops header, layers header, model factory) and
-/// fails when a declared name has no registered gradient check — so a new
-/// op, layer or model cannot land unchecked.
+/// Lightweight static scans of the repo's own sources, for the two
+/// declaration lists no table holds: nn layers (each needs a gradcheck case
+/// in verify/cases.cc) and tensor kernels (each needs an equivalence case in
+/// tests/kernel_equiv_test.cc). Ops and zoo models need no scan: their
+/// tables (ag::OpTable, ZooModelNames) are the declaration lists.
 ///
 /// The scanners are deliberately line-regex simple: they parse this repo's
 /// house style, not arbitrary C++.
 
-/// Names of differentiable ops declared in autograd/ops.h, i.e. every
-/// function of the form `Variable Name(...)` at line start. Sorted, unique.
-std::vector<std::string> DeclaredOpNames(const std::string& ops_header);
-
 /// Names of layer classes declared in nn/layers.h, i.e. every
 /// `class Name : public Module`. Sorted, unique.
 std::vector<std::string> DeclaredLayerNames(const std::string& layers_header);
-
-/// Model names recognized by CreateModel in train/model_zoo.cc, i.e. every
-/// string literal compared against `name ==`. Sorted, unique.
-std::vector<std::string> DeclaredModelNames(const std::string& model_zoo_cc);
 
 /// Names of tensor kernels declared as free functions in tensor/tensor.h,
 /// i.e. every `Tensor Name(...)`, `void Name(...)` or `float Name(...)` at
@@ -41,39 +33,12 @@ std::vector<std::string> DeclaredTensorKernelNames(
 std::vector<std::string> CoveredKernelEquivNames(
     const std::string& kernel_equiv_test_cc);
 
-/// Model names carrying a registered tape audit in
-/// src/analyze/model_audits.cc, i.e. every `EMBSR_MODEL_AUDIT("Name")`
-/// coverage marker. Sorted, unique.
-std::vector<std::string> CoveredModelAuditNames(
-    const std::string& model_audits_cc);
-
-/// Op names carrying a registered prof cost model in
-/// src/autograd/op_costs.cc, i.e. every `EMBSR_OP_COST("Name")` coverage
-/// marker. Sorted, unique.
-std::vector<std::string> CoveredOpCostNames(const std::string& op_costs_cc);
-
-/// Op names carrying a registered static shape rule in
-/// src/analyze/shape_rules.cc, i.e. every `EMBSR_SHAPE_RULE("Name")`
-/// coverage marker. Sorted, unique.
-std::vector<std::string> CoveredShapeRuleNames(
-    const std::string& shape_rules_cc);
-
 /// Convenience: reads and scans the named files under `repo_root`
-/// (src/autograd/ops.h, src/nn/layers.h, src/train/model_zoo.cc,
-/// src/tensor/tensor.h, tests/kernel_equiv_test.cc,
-/// src/analyze/model_audits.cc).
-Result<std::vector<std::string>> ScanOpNames(const std::string& repo_root);
+/// (src/nn/layers.h, src/tensor/tensor.h, tests/kernel_equiv_test.cc).
 Result<std::vector<std::string>> ScanLayerNames(const std::string& repo_root);
-Result<std::vector<std::string>> ScanModelNames(const std::string& repo_root);
 Result<std::vector<std::string>> ScanTensorKernelNames(
     const std::string& repo_root);
 Result<std::vector<std::string>> ScanKernelEquivCoverage(
-    const std::string& repo_root);
-Result<std::vector<std::string>> ScanModelAuditCoverage(
-    const std::string& repo_root);
-Result<std::vector<std::string>> ScanOpCostCoverage(
-    const std::string& repo_root);
-Result<std::vector<std::string>> ScanShapeRuleCoverage(
     const std::string& repo_root);
 
 }  // namespace verify

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "autograd/op_def.h"
 #include "test_util.h"
 
 namespace embsr {
@@ -282,6 +288,52 @@ TEST(AutogradOps, LayerNormOutputStats) {
     var /= 16;
     EXPECT_NEAR(mean, 0.0, 1e-4);
     EXPECT_NEAR(var, 1.0, 1e-2);
+  }
+}
+
+// -- The op table ------------------------------------------------------------------
+//
+// ag::OpTable's static_assert already requires one complete entry per OpId,
+// in order. These checks run each entry's shape rule and cost on the node
+// its own gradcheck inputs build, so every rule sees real shapes.
+
+/// The entry's op applied to its gradcheck inputs as requires_grad leaves,
+/// so the node records its parents.
+Variable BuildFromGradCheckInputs(const ag::OpDef& def) {
+  Rng rng(ag::kGradCheckSeed);
+  std::vector<Variable> leaves;
+  for (Tensor& t : def.gradcheck.inputs(&rng)) leaves.push_back(Leaf(t));
+  return def.gradcheck.apply(leaves);
+}
+
+TEST(OpTable, NamesAreUnique) {
+  std::set<std::string> names;
+  for (const ag::OpDef& def : ag::OpTable()) {
+    EXPECT_TRUE(names.insert(def.name).second) << "duplicate " << def.name;
+  }
+}
+
+TEST(OpTable, ShapeRuleAcceptsTheNodeItsGradCheckBuilds) {
+  for (const ag::OpDef& def : ag::OpTable()) {
+    const Variable out = BuildFromGradCheckInputs(def);
+    EXPECT_EQ(out.node()->def, &def) << def.name;
+    ASSERT_FALSE(out.node()->parents.empty()) << def.name;
+    EXPECT_EQ(def.shape_rule(*out.node()), "") << def.name;
+  }
+}
+
+TEST(OpTable, CostIsFiniteAndNonNegativeOnThatNode) {
+  for (const ag::OpDef& def : ag::OpTable()) {
+    const Variable out = BuildFromGradCheckInputs(def);
+    prof::ShapeInfo shapes;
+    shapes.output = out.value().shape();
+    for (const auto& parent : out.node()->parents) {
+      shapes.inputs.push_back(parent->value.shape());
+    }
+    const prof::OpCost c = def.cost(shapes);
+    for (double v : {c.flops, c.bytes_read, c.bytes_written}) {
+      EXPECT_TRUE(std::isfinite(v) && v >= 0.0) << def.name << ": " << v;
+    }
   }
 }
 

@@ -1,62 +1,58 @@
-// Registry-driven gradient verification of the whole autodiff surface.
+// Gradient verification of the whole autodiff surface.
 //
 // Three layers of enforcement:
-//  1. Every registered op/layer case passes central-difference checking.
-//  2. Coverage: every op declared in autograd/ops.h and every layer in
-//     nn/layers.h has a registered case — adding one without a check fails
-//     here, not in a code review.
-//  3. Models: every neural model in train/model_zoo.cc gradchecks end to
-//     end (parameters -> LossOn) on a fixed synthetic session.
+//  1. Every op's table case (ag::OpTable) and every composite-op and layer
+//     case passes central-difference checking. The table makes op coverage
+//     structural: an op without a gradcheck does not compile.
+//  2. Coverage: every layer in nn/layers.h has a case — adding one without
+//     a check fails here, not in a code review.
+//  3. Models: every neural model in the zoo (ZooModelNames) gradchecks end
+//     to end (parameters -> LossOn) on a fixed synthetic session.
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "autograd/op_def.h"
 #include "gtest/gtest.h"
+#include "train/model_zoo.h"
 #include "verify/gradcheck.h"
 #include "verify/model_check.h"
-#include "verify/registry.h"
 #include "verify/source_scan.h"
 
 namespace embsr {
 namespace verify {
 namespace {
 
-class GradCheckSuite : public ::testing::Test {
- protected:
-  void SetUp() override { RegisterBuiltinGradCheckCases(); }
-};
+void ExpectPasses(const std::string& what, const GradCheckResult& result) {
+  EXPECT_TRUE(result.ok) << what << ": " << result.ToString();
+  EXPECT_GT(result.checked_elements, 0) << what;
+  EXPECT_LT(result.max_rel_error, 1e-2f) << what << ": " << result.ToString();
+}
 
-TEST_F(GradCheckSuite, EveryRegisteredCasePasses) {
-  const auto& cases = GradCheckRegistry::Global().cases();
+TEST(GradCheckSuite, EveryRegisteredCasePasses) {
+  for (const ag::OpDef& def : ag::OpTable()) {
+    ExpectPasses(std::string("op ") + def.name, CheckOpGradients(def));
+  }
+  const std::vector<GradCheckCase> cases = BuiltinGradCheckCases();
   ASSERT_FALSE(cases.empty());
-  for (const auto& c : cases) {
-    const GradCheckResult result = c.run();
-    EXPECT_TRUE(result.ok) << c.kind << " " << c.name << ": "
-                           << result.ToString();
-    EXPECT_GT(result.checked_elements, 0) << c.kind << " " << c.name;
-    EXPECT_LT(result.max_rel_error, 1e-2f)
-        << c.kind << " " << c.name << ": " << result.ToString();
-  }
+  for (const auto& c : cases) ExpectPasses(c.kind + " " + c.name, c.run());
 }
 
-TEST_F(GradCheckSuite, EveryDeclaredOpHasACase) {
-  const auto declared = ScanOpNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(declared.ok()) << declared.status().ToString();
-  ASSERT_FALSE(declared.value().empty());
-  const auto registered = GradCheckRegistry::Global().Names("op");
-  for (const std::string& name : declared.value()) {
-    EXPECT_TRUE(std::binary_search(registered.begin(), registered.end(), name))
-        << "op '" << name << "' is declared in src/autograd/ops.h but has no "
-        << "gradient check; add a case to src/verify/cases.cc";
+std::vector<std::string> CaseNames(const std::string& kind) {
+  std::vector<std::string> names;
+  for (const auto& c : BuiltinGradCheckCases()) {
+    if (c.kind == kind) names.push_back(c.name);
   }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
-TEST_F(GradCheckSuite, EveryDeclaredLayerHasACase) {
+TEST(GradCheckSuite, EveryDeclaredLayerHasACase) {
   const auto declared = ScanLayerNames(EMBSR_REPO_ROOT);
   ASSERT_TRUE(declared.ok()) << declared.status().ToString();
   ASSERT_FALSE(declared.value().empty());
-  const auto registered = GradCheckRegistry::Global().Names("layer");
+  const auto registered = CaseNames("layer");
   for (const std::string& name : declared.value()) {
     EXPECT_TRUE(std::binary_search(registered.begin(), registered.end(), name))
         << "layer '" << name << "' is declared in src/nn/layers.h but has no "
@@ -64,33 +60,22 @@ TEST_F(GradCheckSuite, EveryDeclaredLayerHasACase) {
   }
 }
 
-TEST_F(GradCheckSuite, NoStaleRegistrations) {
-  // The inverse direction: a registered case whose op/layer no longer
-  // exists means the scan regexes or the registry rotted.
-  const auto ops = ScanOpNames(EMBSR_REPO_ROOT);
+TEST(GradCheckSuite, NoStaleRegistrations) {
+  // The inverse direction: a layer case whose layer no longer exists means
+  // the scan regex or the case list rotted.
   const auto layers = ScanLayerNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(ops.ok() && layers.ok());
-  for (const auto& c : GradCheckRegistry::Global().cases()) {
-    const auto& declared = (c.kind == "op") ? ops.value() : layers.value();
-    EXPECT_TRUE(std::find(declared.begin(), declared.end(), c.name) !=
-                declared.end())
-        << "registered " << c.kind << " case '" << c.name
-        << "' matches nothing in the source tree";
+  ASSERT_TRUE(layers.ok());
+  for (const std::string& name : CaseNames("layer")) {
+    EXPECT_TRUE(std::binary_search(layers.value().begin(),
+                                   layers.value().end(), name))
+        << "layer case '" << name << "' matches nothing in src/nn/layers.h";
   }
 }
 
-TEST_F(GradCheckSuite, SourceScanFindsKnownNames) {
-  // Spot-check the scanners against names that must exist; guards against
+TEST(GradCheckSuite, SourceScanFindsKnownNames) {
+  // Spot-check the scanner against names that must exist; guards against
   // a regex silently matching nothing (which would make the coverage tests
   // vacuously pass).
-  const auto ops = ScanOpNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(ops.ok());
-  EXPECT_GE(ops.value().size(), 30u);
-  for (const char* must : {"MatMul", "SoftmaxCrossEntropy", "Dropout"}) {
-    EXPECT_TRUE(std::binary_search(ops.value().begin(), ops.value().end(),
-                                   std::string(must)))
-        << must;
-  }
   const auto layers = ScanLayerNames(EMBSR_REPO_ROOT);
   ASSERT_TRUE(layers.ok());
   for (const char* must : {"Linear", "Embedding", "GRUCell"}) {
@@ -98,16 +83,9 @@ TEST_F(GradCheckSuite, SourceScanFindsKnownNames) {
                                    layers.value().end(), std::string(must)))
         << must;
   }
-  const auto models = ScanModelNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(models.ok());
-  for (const char* must : {"EMBSR", "GRU4Rec", "SR-GNN", "S-POP"}) {
-    EXPECT_TRUE(std::binary_search(models.value().begin(),
-                                   models.value().end(), std::string(must)))
-        << must;
-  }
 }
 
-TEST_F(GradCheckSuite, EveryTensorKernelHasAnEquivalenceCase) {
+TEST(GradCheckSuite, EveryTensorKernelHasAnEquivalenceCase) {
   // Parallel-kernel coverage: every free kernel declared in tensor/tensor.h
   // must carry an EMBSR_KERNEL_EQUIV marker in tests/kernel_equiv_test.cc,
   // where it is property-tested against its frozen serial ref:: oracle at
@@ -140,17 +118,14 @@ TEST_F(GradCheckSuite, EveryTensorKernelHasAnEquivalenceCase) {
   }
 }
 
-TEST_F(GradCheckSuite, EveryZooModelGradChecksEndToEnd) {
-  const auto models = ScanModelNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(models.ok()) << models.status().ToString();
-
+TEST(GradCheckSuite, EveryZooModelGradChecksEndToEnd) {
   GradCheckConfig config;
   config.max_elements_per_leaf = 6;  // sampled; exhaustive would be O(P) fwds
   int neural_checked = 0;
-  for (const std::string& name : models.value()) {
+  for (const std::string& name : ZooModelNames()) {
     SCOPED_TRACE(name);
     const ModelGradCheckOutcome outcome = CheckModelGradients(name, config);
-    ASSERT_TRUE(outcome.known) << "scanned name CreateModel rejects: " << name;
+    ASSERT_TRUE(outcome.known) << "zoo name CreateModel rejects: " << name;
     if (!outcome.neural) continue;  // memory-based baseline, no gradients
     EXPECT_TRUE(outcome.result.ok) << outcome.result.ToString();
     EXPECT_LT(outcome.result.max_rel_error, 1e-2f)
@@ -162,7 +137,7 @@ TEST_F(GradCheckSuite, EveryZooModelGradChecksEndToEnd) {
   EXPECT_GE(neural_checked, 4);
 }
 
-TEST_F(GradCheckSuite, DetectsASeededGradientBug) {
+TEST(GradCheckSuite, DetectsASeededGradientBug) {
   // The checker itself must be falsifiable: a deliberately wrong backward
   // (scale gradient off by 2x) has to be flagged.
   Rng rng(1234);
@@ -180,7 +155,7 @@ TEST_F(GradCheckSuite, DetectsASeededGradientBug) {
   EXPECT_FALSE(result.failures.empty());
 }
 
-TEST_F(GradCheckSuite, DetectsNonDeterministicLoss) {
+TEST(GradCheckSuite, DetectsNonDeterministicLoss) {
   Rng rng(99);
   std::vector<ag::Variable> leaves = {
       ag::Variable(Tensor::RandUniform({2, 2}, -1.0f, 1.0f, &rng), true)};

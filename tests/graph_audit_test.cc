@@ -4,10 +4,9 @@
 //  1. Every registered model audit passes: all trainable parameters reach
 //     the loss, accumulation counts match graph fan-out, no orphaned ops,
 //     no aliased parameters.
-//  2. Coverage: every model name in train/model_zoo.cc has a registered
-//     audit in src/analyze/model_audits.cc (and no audit names a model the
-//     zoo no longer builds) — enforced by the EMBSR_MODEL_AUDIT source
-//     scan, so an unaudited new model fails here, not in review.
+//  2. Coverage: every zoo model (ZooModelNames) has a registered audit in
+//     src/analyze/model_audits.cc, and no audit names a model the zoo no
+//     longer builds, so an unaudited new model fails here, not in review.
 //  3. Seeded mutants: a deliberately miswired model (disconnected
 //     embedding, double-accumulating backward, dropped op output, aliased
 //     parameter) must be *detected* — the auditor's alarm actually rings.
@@ -20,11 +19,12 @@
 #include "analyze/graph_dump.h"
 #include "analyze/model_audits.h"
 #include "analyze/tape_audit.h"
+#include "autograd/op_def.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "gtest/gtest.h"
 #include "models/neural_model.h"
-#include "verify/source_scan.h"
+#include "train/model_zoo.h"
 
 namespace embsr {
 namespace analyze {
@@ -48,51 +48,27 @@ TEST(GraphAudit, EveryZooModelPassesItsTapeAudit) {
   EXPECT_GE(neural_audited, 13);
 }
 
-// ---- 2. Coverage enforced by source scan ----------------------------------
+// ---- 2. Coverage: the zoo table against the audit list ---------------------
 
 TEST(GraphAudit, EveryZooModelHasARegisteredAudit) {
-  const auto models = verify::ScanModelNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(models.ok()) << models.status().ToString();
-  ASSERT_FALSE(models.value().empty());
-  const auto covered = verify::ScanModelAuditCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  for (const std::string& name : models.value()) {
-    EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                   covered.value().end(), name))
+  const std::vector<std::string> models = ZooModelNames();
+  ASSERT_FALSE(models.empty());
+  for (const std::string& name : models) {
+    EXPECT_NE(FindModelAudit(name), nullptr)
         << "model '" << name << "' is built by src/train/model_zoo.cc but "
-        << "has no tape audit; add an EMBSR_MODEL_AUDIT entry to "
-        << "src/analyze/model_audits.cc";
+        << "has no tape audit; add an entry to src/analyze/model_audits.cc";
   }
 }
 
 TEST(GraphAudit, NoStaleAuditRegistrations) {
-  const auto models = verify::ScanModelNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(models.ok()) << models.status().ToString();
-  const auto covered = verify::ScanModelAuditCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  for (const std::string& name : covered.value()) {
-    EXPECT_TRUE(std::binary_search(models.value().begin(),
-                                   models.value().end(), name))
-        << "audit '" << name << "' names a model train/model_zoo.cc does "
-        << "not build; remove the stale EMBSR_MODEL_AUDIT entry";
+  const std::vector<std::string> models = ZooModelNames();
+  for (const ModelAuditSpec& spec : ModelAudits()) {
+    EXPECT_TRUE(std::find(models.begin(), models.end(), spec.model) !=
+                models.end())
+        << "audit '" << spec.model << "' names a model "
+        << "src/train/model_zoo.cc does not build; remove the stale entry";
   }
-  // The scan and the in-memory registry must agree (a marker without an
-  // actual registration, or vice versa, means the macro discipline broke).
-  for (const std::string& name : covered.value()) {
-    EXPECT_NE(FindModelAudit(name), nullptr) << name;
-  }
-  EXPECT_EQ(covered.value().size(), ModelAudits().size());
-}
-
-TEST(GraphAudit, ScanFindsKnownNames) {
-  // Guards the scan regex itself against rot: if the marker style changes,
-  // this fails before the coverage tests silently pass on empty sets.
-  const auto covered = verify::ScanModelAuditCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                 covered.value().end(), "EMBSR"));
-  EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                 covered.value().end(), "GRU4Rec"));
+  EXPECT_EQ(models.size(), ModelAudits().size());
 }
 
 // ---- 3. Seeded mutants: the alarm must ring -------------------------------
@@ -165,11 +141,14 @@ TEST(GraphAudit, DetectsDisconnectedEmbedding) {
 TEST(GraphAudit, DetectsDoubleAccumulation) {
   ag::Tape tape;
   ag::Variable x(Tensor::Full({2, 2}, 1.0f), /*requires_grad=*/true);
+  // A test-local table entry; the auditor reads only its name.
+  static const ag::OpDef kBuggyOp{ag::OpId::kCount, "BuggyOp", nullptr,
+                                  nullptr, {nullptr, nullptr}};
   // Hand-built op whose backward accumulates into its parent twice — the
   // kind of bug a refactored backward_fn can introduce silently, since the
   // doubled gradient still has the right shape.
   auto buggy = std::make_shared<ag::Node>();
-  buggy->op = "BuggyOp";
+  buggy->def = &kBuggyOp;
   buggy->value = Tensor::Scalar(4.0f);
   buggy->requires_grad = true;
   buggy->parents = {x.node()};

@@ -6,27 +6,23 @@
 //     runtime's accumulation counts, no two simultaneously-live buffers
 //     share arena bytes, and the planned footprint brackets the prof
 //     memory tracker's measured peak within kPlannedPeakTolerance.
-//  2. Coverage: every op declared in autograd/ops.h has a registered
-//     EMBSR_SHAPE_RULE in src/analyze/shape_rules.cc (and no rule names a
-//     dropped op) — enforced by source scan, so a new op cannot land
-//     without a shape rule.
+//  2. Shape rules: each node carries its op's OpDef, whose shape rule
+//     (required by ag::OpTable's static_assert) flags a corrupted output.
 //  3. Seeded mutants: a corrupted plan (overlapping intervals, dead
 //     store, too-early-freed gradient, over-held gradient, bad reshape
 //     alias) must each be *rejected* with its named diagnostic — the
 //     verifier's alarm actually rings.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "analyze/graph_plan.h"
 #include "analyze/model_audits.h"
-#include "analyze/shape_rules.h"
+#include "autograd/op_def.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
 #include "bench/bench_common.h"
 #include "gtest/gtest.h"
-#include "verify/source_scan.h"
 
 namespace embsr {
 namespace analyze {
@@ -87,59 +83,17 @@ TEST(GraphPlan, EveryZooModelGetsAVerifiedPlan) {
   EXPECT_GE(neural_planned, 13);
 }
 
-// ---- 2. Shape-rule coverage enforced by source scan ------------------------
-
-TEST(GraphPlan, EveryDeclaredOpHasAShapeRule) {
-  const auto ops = verify::ScanOpNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
-  ASSERT_FALSE(ops.value().empty());
-  const auto covered = verify::ScanShapeRuleCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  for (const std::string& name : ops.value()) {
-    EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                   covered.value().end(), name))
-        << "op '" << name << "' is declared in src/autograd/ops.h but has "
-        << "no shape rule; add an EMBSR_SHAPE_RULE entry to "
-        << "src/analyze/shape_rules.cc";
-  }
-}
-
-TEST(GraphPlan, NoStaleShapeRules) {
-  const auto ops = verify::ScanOpNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(ops.ok()) << ops.status().ToString();
-  const auto covered = verify::ScanShapeRuleCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  for (const std::string& name : covered.value()) {
-    EXPECT_TRUE(std::binary_search(ops.value().begin(), ops.value().end(),
-                                   name))
-        << "shape rule '" << name << "' names an op src/autograd/ops.h does "
-        << "not declare; remove the stale EMBSR_SHAPE_RULE entry";
-    EXPECT_TRUE(HasShapeRule(name)) << name;
-  }
-  // The scan and the in-memory registry must agree.
-  EXPECT_EQ(covered.value().size(), ShapeRuleNames().size());
-}
-
-TEST(GraphPlan, ShapeRuleScanFindsKnownNames) {
-  // Guards the scan regex itself against rot: if the marker style changes,
-  // this fails before the coverage tests silently pass on empty sets.
-  const auto covered = verify::ScanShapeRuleCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(covered.ok()) << covered.status().ToString();
-  EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                 covered.value().end(), "MatMul"));
-  EXPECT_TRUE(std::binary_search(covered.value().begin(),
-                                 covered.value().end(),
-                                 "SoftmaxCrossEntropy"));
-}
+// ---- 2. Shape rules ------------------------------------------------------
 
 TEST(GraphPlan, ShapeRuleCatchesCorruptedOutput) {
   ag::Variable x(Tensor::Full({2, 3}, 0.5f), /*requires_grad=*/true);
   ag::Variable y = ag::Mul(x, x);
-  EXPECT_EQ(CheckNodeShape(*y.node()), "");
+  const ag::OpDef* def = y.node()->def;
+  EXPECT_EQ(def->shape_rule(*y.node()), "");
   // Corrupt the recorded output in place: [2,3] * [2,3] -> [2,2] is the
   // inconsistency class the rules exist to catch.
   y.node()->value = Tensor::Zeros({2, 2});
-  const std::string diag = CheckNodeShape(*y.node());
+  const std::string diag = def->shape_rule(*y.node());
   EXPECT_NE(diag.find("Mul"), std::string::npos) << diag;
 }
 

@@ -1,51 +1,29 @@
 // embsr::prof — per-op attribution, cost models, memory tracker, lane stats.
 //
-// The two contract-critical suites:
-//  - CostModelCoverage diffs three name lists in both directions (ops
-//    declared in autograd/ops.h, EMBSR_OP_COST markers scanned from
-//    op_costs.cc, cost functions actually registered at runtime) so an op
-//    added without a cost model — or a stale model for a removed op —
-//    fails ctest, mirroring the gradcheck coverage contract.
+// Every op's cost function lives in its ag::OpTable entry, so cost coverage
+// is structural (OpTable.* in autograd_test runs each one on real shapes).
+//  - CostModelPins checks two of them against hand-computed values.
 //  - ProfAttribution pins the gap-based accounting: with profiling on,
 //    per-op forward+backward time summed over the snapshot must land
-//    within 10% of the enclosing StepScope spans (ISSUE acceptance
-//    criterion).
+//    within 10% of the enclosing StepScope spans.
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
-#include "autograd/op_costs.h"
+#include "autograd/op_def.h"
 #include "autograd/ops.h"
 #include "gtest/gtest.h"
 #include "prof/op_profiler.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
-#include "verify/source_scan.h"
 
 namespace embsr {
 namespace {
 
 using ag::Variable;
 
-// Names in `a` that are missing from sorted `b`, for failure messages.
-std::string Missing(const std::vector<std::string>& a,
-                    const std::vector<std::string>& b) {
-  std::string out;
-  for (const std::string& name : a) {
-    if (!std::binary_search(b.begin(), b.end(), name)) {
-      if (!out.empty()) out += ", ";
-      out += name;
-    }
-  }
-  return out.empty() ? "(none)" : out;
-}
-
-prof::OpCost CostFor(const char* op, prof::ShapeInfo info) {
-  ag::RegisterOpCostModels();
-  prof::CostFn fn = prof::FindOpCost(op);
-  EXPECT_NE(fn, nullptr) << "no cost model registered for " << op;
-  return fn == nullptr ? prof::OpCost{} : fn(info);
+prof::OpCost CostFor(ag::OpId id, const prof::ShapeInfo& info) {
+  return ag::OpTable()[static_cast<size_t>(id)].cost(info);
 }
 
 TEST(CostModelPins, MatMulAgainstHandComputedValues) {
@@ -54,7 +32,7 @@ TEST(CostModelPins, MatMulAgainstHandComputedValues) {
   prof::ShapeInfo s;
   s.inputs = {{3, 4}, {4, 5}};
   s.output = {3, 5};
-  const prof::OpCost c = CostFor("MatMul", s);
+  const prof::OpCost c = CostFor(ag::OpId::kMatMul, s);
   EXPECT_DOUBLE_EQ(c.flops, 120.0);
   EXPECT_DOUBLE_EQ(c.bytes_read, 128.0);
   EXPECT_DOUBLE_EQ(c.bytes_written, 60.0);
@@ -67,50 +45,10 @@ TEST(CostModelPins, GatherRowsAgainstHandComputedValues) {
   prof::ShapeInfo s;
   s.inputs = {{1000, 4}};
   s.output = {3, 4};
-  const prof::OpCost c = CostFor("GatherRows", s);
+  const prof::OpCost c = CostFor(ag::OpId::kGatherRows, s);
   EXPECT_DOUBLE_EQ(c.flops, 0.0);
   EXPECT_DOUBLE_EQ(c.bytes_read, 48.0);
   EXPECT_DOUBLE_EQ(c.bytes_written, 48.0);
-}
-
-TEST(CostModelPins, EveryRegisteredModelYieldsFiniteNonNegativeCosts) {
-  ag::RegisterOpCostModels();
-  prof::ShapeInfo s;
-  s.inputs = {{8, 16}, {16, 8}, {8, 16}};
-  s.output = {8, 16};
-  for (const std::string& name : prof::RegisteredOpCostNames()) {
-    prof::CostFn fn = prof::FindOpCost(name.c_str());
-    ASSERT_NE(fn, nullptr) << name;
-    const prof::OpCost c = fn(s);
-    EXPECT_GE(c.flops, 0.0) << name;
-    EXPECT_GE(c.bytes_read, 0.0) << name;
-    EXPECT_GE(c.bytes_written, 0.0) << name;
-  }
-}
-
-TEST(CostModelCoverage, DeclaredScannedAndRegisteredAgreeBothWays) {
-  ag::RegisterOpCostModels();
-
-  const auto declared = verify::ScanOpNames(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(declared.ok()) << declared.status().ToString();
-  ASSERT_FALSE(declared.value().empty());
-
-  const auto scanned = verify::ScanOpCostCoverage(EMBSR_REPO_ROOT);
-  ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
-
-  const std::vector<std::string> registered = prof::RegisteredOpCostNames();
-
-  EXPECT_EQ(declared.value(), scanned.value())
-      << "ops without an EMBSR_OP_COST entry in src/autograd/op_costs.cc: "
-      << Missing(declared.value(), scanned.value())
-      << "; stale EMBSR_OP_COST entries for undeclared ops: "
-      << Missing(scanned.value(), declared.value());
-
-  EXPECT_EQ(declared.value(), registered)
-      << "ops whose cost model never registers at runtime: "
-      << Missing(declared.value(), registered)
-      << "; runtime registrations with no declared op: "
-      << Missing(registered, declared.value());
 }
 
 TEST(ProfAttribution, PerOpTimesSumToStepSpanWithinTenPercent) {
