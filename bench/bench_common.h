@@ -72,21 +72,18 @@ inline void PrintHeader(const char* experiment, const char* paper_ref,
 
 /// Machine-readable sidecar of a bench run. Collects experiment results and
 /// named scalars while the bench prints its human table, then writes
-/// `BENCH_<name>.json` (schema v3: workload scale, pool thread count, wall
-/// time, results with per-cell status ok|failed, scalars, profiler block,
-/// metrics snapshot) on destruction. The `profile` block is always present;
-/// it reports `"enabled": false` with empty tables unless the process ran
-/// with EMBSR_PROF=1 (the constructor arms the profiler from the env).
-/// Failed sweep cells are recorded with their error instead of aborting the
-/// report — graceful degradation. The destination directory is
+/// `BENCH_<name>.json` (schema v4: workload scale, pool thread count, wall
+/// time, results with per-cell status ok|failed, scalars, metrics snapshot)
+/// on destruction. Write() first stops the active profiling session, if any
+/// (EMBSR_PROF=1 opens one at process start), which publishes its per-op,
+/// per-component, memory and lane totals into the snapshot as `prof/...`
+/// gauges. Failed sweep cells are recorded with their error instead of
+/// aborting the report — graceful degradation. The destination directory is
 /// the working directory, overridable with EMBSR_BENCH_JSON_DIR; the file
-/// is what scripts/check_bench_json.py validates and what the perf
-/// trajectory accumulates from.
+/// is what scripts/check_bench_json.py validates.
 class BenchReport {
  public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {
-    prof::MaybeInitFromEnv();
-  }
+  explicit BenchReport(std::string name) : name_(std::move(name)) {}
 
   ~BenchReport() { Write(); }
 
@@ -111,9 +108,10 @@ class BenchReport {
   void Write() {
     if (written_) return;
     written_ = true;
+    prof::Stop();
     obs::JsonWriter w;
     w.BeginObject();
-    w.Key("schema_version").Int(3);
+    w.Key("schema_version").Int(4);
     w.Key("bench").String(name_);
     w.Key("threads").Int(par::ThreadCount());
     w.Key("workload").BeginObject();
@@ -146,7 +144,6 @@ class BenchReport {
     w.Key("scalars").BeginObject();
     for (const auto& [k, v] : scalars_) w.Key(k).Number(v);
     w.EndObject();
-    w.Key("profile").Raw(prof::ProfileJson());
     w.Key("metrics").Raw(obs::Registry::Global().SnapshotJson());
     w.EndObject();
 

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Validate BENCH_<name>.json sidecar files against the schema (v3).
+"""Validate BENCH_<name>.json sidecar files against the schema (v4).
 
 Every bench binary in this repo writes a machine-readable report next to its
 human-readable table (see BenchReport in bench/bench_common.h). This script
 checks those reports structurally so CI catches a bench that silently stops
-emitting results or breaks the JSON contract. Schema v3 adds the mandatory
-`profile` block (embsr::prof per-op attribution, memory watermarks, lane
-utilization and a naive roofline estimate) — validated here so a bench that
-stops emitting profiler data fails the gate even when EMBSR_PROF is unset.
+emitting results or breaks the JSON contract. Under EMBSR_PROF=1 the
+profiler's totals arrive as `prof/...` gauges inside the `metrics` snapshot
+and are checked like every other gauge.
 
 The checker also rejects duplication the JSON layer would otherwise hide:
 a key emitted twice anywhere in one file (e.g. the same scalar or bench name
@@ -20,10 +19,9 @@ Usage:
                                            BENCH_*.json it produced
   check_bench_json.py --self-test          prove the validator still rejects
                                            seeded schema violations (the
-                                           'threads' rules, the 'profile'
-                                           block rules, and both duplicate
-                                           rules included) and accepts a
-                                           well-formed report
+                                           'threads' rules and both
+                                           duplicate rules included) and
+                                           accepts a well-formed report
 
 Exits non-zero and prints one line per problem on failure. Stdlib only.
 """
@@ -35,7 +33,7 @@ import subprocess
 import sys
 import tempfile
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 RESULT_KEYS = {
     "model": str,
@@ -46,37 +44,6 @@ RESULT_KEYS = {
     "hit": dict,
     "mrr": dict,
 }
-
-
-# profile.top_ops[] / profile.components[] row metrics (besides the name).
-PROFILE_ROW_KEYS = (
-    "calls",
-    "forward_ms",
-    "backward_calls",
-    "backward_ms",
-    "flops",
-    "bytes_read",
-    "bytes_written",
-    "alloc_bytes",
-)
-
-PROFILE_MEMORY_KEYS = (
-    "live_bytes",
-    "peak_bytes",
-    "alloc_count",
-    "free_count",
-    "alloc_bytes_total",
-    "timeline_events",
-    "timeline_dropped",
-)
-
-PROFILE_ROOFLINE_KEYS = (
-    "flops_total",
-    "bytes_total",
-    "intensity_flops_per_byte",
-    "achieved_gflops",
-    "achieved_gbytes_per_sec",
-)
 
 
 def _err(errors, path, msg):
@@ -110,85 +77,6 @@ def _check_number_map(errors, path, obj, where):
     for k, v in obj.items():
         if v is not None and not isinstance(v, (int, float)):
             _err(errors, path, f"{where}[{k!r}] must be a number, got {v!r}")
-
-
-def _check_nonneg_number(errors, path, obj, where, key):
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        _err(errors, path, f"{where}.{key} must be a number, got {v!r}")
-    elif v < 0:
-        _err(errors, path, f"{where}.{key} must be non-negative, got {v!r}")
-
-
-def _check_profile_rows(errors, path, rows, where, name_key):
-    if not isinstance(rows, list):
-        _err(errors, path, f"{where} must be an array")
-        return
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict):
-            _err(errors, path, f"{where}[{i}] must be an object")
-            continue
-        if not isinstance(row.get(name_key), str) or not row.get(name_key):
-            _err(errors, path,
-                 f"{where}[{i}] missing non-empty {name_key!r} string")
-        for key in PROFILE_ROW_KEYS:
-            _check_nonneg_number(errors, path, row, f"{where}[{i}]", key)
-
-
-def _check_profile(errors, path, profile):
-    """The schema-v3 `profile` block written by embsr::prof::ProfileJson().
-
-    Always present; with EMBSR_PROF unset it is `"enabled": false` with
-    empty tables, but the shape contract holds either way.
-    """
-    if not isinstance(profile, dict):
-        _err(errors, path, "missing 'profile' object (schema v3)")
-        return
-    if not isinstance(profile.get("enabled"), bool):
-        _err(errors, path, "profile.enabled must be a boolean")
-    for key in ("profiled_seconds", "steps", "step_ms",
-                "attributed_forward_ms", "attributed_backward_ms"):
-        _check_nonneg_number(errors, path, profile, "profile", key)
-    _check_profile_rows(errors, path, profile.get("top_ops"),
-                        "profile.top_ops", "op")
-    _check_profile_rows(errors, path, profile.get("components"),
-                        "profile.components", "component")
-
-    memory = profile.get("memory")
-    if not isinstance(memory, dict):
-        _err(errors, path, "profile.memory must be an object")
-    else:
-        for key in PROFILE_MEMORY_KEYS:
-            _check_nonneg_number(errors, path, memory, "profile.memory", key)
-
-    lanes = profile.get("lanes")
-    if not isinstance(lanes, list):
-        _err(errors, path, "profile.lanes must be an array")
-    else:
-        for i, lane in enumerate(lanes):
-            if not isinstance(lane, dict):
-                _err(errors, path, f"profile.lanes[{i}] must be an object")
-                continue
-            for key in ("lane", "busy_ms", "idle_ms", "chunks"):
-                _check_nonneg_number(errors, path, lane,
-                                     f"profile.lanes[{i}]", key)
-
-    if not isinstance(profile.get("pool"), dict):
-        _err(errors, path, "profile.pool must be an object")
-
-    roofline = profile.get("roofline")
-    if not isinstance(roofline, dict):
-        _err(errors, path, "profile.roofline must be an object")
-    else:
-        for key in PROFILE_ROOFLINE_KEYS:
-            _check_nonneg_number(errors, path, roofline,
-                                 "profile.roofline", key)
-
-    # An enabled profile with recorded steps must attribute them somewhere.
-    if profile.get("enabled") is True and profile.get("steps", 0) \
-            and not profile.get("top_ops"):
-        _err(errors, path,
-             "profile is enabled with steps recorded but top_ops is empty")
 
 
 # Scalars every serve-bench report must carry (bench names starting with
@@ -347,8 +235,6 @@ def check_report(path, errors):
     _check_number_map(errors, path, doc.get("scalars", {}), "scalars")
     _check_serve_scalars(errors, path, doc)
 
-    _check_profile(errors, path, doc.get("profile"))
-
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         _err(errors, path, "missing 'metrics' snapshot object")
@@ -397,8 +283,8 @@ def check_files(paths, errors):
     """Validate each file and reject a bench name reused across files.
 
     Two reports claiming the same bench name in one invocation means one of
-    them would silently shadow the other in any downstream aggregation
-    (profile_diff.py, bench_history.py key on the name).
+    them would silently shadow the other in any aggregation keyed on the
+    name.
     """
     seen_names = {}
     for path in paths:
@@ -441,58 +327,6 @@ def run_and_collect(argv):
 # ---- Self-test ---------------------------------------------------------------
 
 
-def _valid_profile():
-    """A profile block as ProfileJson() emits with EMBSR_PROF=1."""
-    return {
-        "enabled": True,
-        "profiled_seconds": 1.5,
-        "steps": 10,
-        "step_ms": 1200.0,
-        "attributed_forward_ms": 700.0,
-        "attributed_backward_ms": 450.0,
-        "top_ops": [{
-            "op": "MatMul",
-            "calls": 100,
-            "forward_ms": 500.0,
-            "backward_calls": 100,
-            "backward_ms": 300.0,
-            "flops": 1.2e9,
-            "bytes_read": 4.0e8,
-            "bytes_written": 1.0e8,
-            "alloc_bytes": 1.0e8,
-        }],
-        "components": [{
-            "component": "gru",
-            "calls": 100,
-            "forward_ms": 500.0,
-            "backward_calls": 100,
-            "backward_ms": 300.0,
-            "flops": 1.2e9,
-            "bytes_read": 4.0e8,
-            "bytes_written": 1.0e8,
-            "alloc_bytes": 1.0e8,
-        }],
-        "memory": {
-            "live_bytes": 1024,
-            "peak_bytes": 4096,
-            "alloc_count": 12,
-            "free_count": 10,
-            "alloc_bytes_total": 8192,
-            "timeline_events": 0,
-            "timeline_dropped": 0,
-        },
-        "lanes": [{"lane": 0, "busy_ms": 900.0, "idle_ms": 600.0,
-                   "chunks": 64}],
-        "pool": {"chunk_ms_p50": 0.1, "chunk_ms_p99": 0.4,
-                 "chunk_imbalance_pct_p50": 100.0,
-                 "chunk_imbalance_pct_p99": 120.0},
-        "roofline": {"flops_total": 1.2e9, "bytes_total": 5.0e8,
-                     "intensity_flops_per_byte": 2.4,
-                     "achieved_gflops": 1.04,
-                     "achieved_gbytes_per_sec": 0.43},
-    }
-
-
 def _valid_report():
     """A minimal report that must validate cleanly."""
     return {
@@ -511,7 +345,6 @@ def _valid_report():
             "mrr": {"20": 0.25},
         }],
         "scalars": {},
-        "profile": _valid_profile(),
         "metrics": {"counters": {}, "gauges": {}, "histograms": {}},
     }
 
@@ -566,51 +399,6 @@ def self_test():
     doc = _valid_report()
     doc["results"][0]["hit"] = {}
     expect_rejected(doc, "empty hit map on ok cell", "is empty on an ok cell")
-
-    # The schema-v3 'profile' block: mandatory, shape-checked field by field.
-    doc = _valid_report()
-    del doc["profile"]
-    expect_rejected(doc, "profile absent", "missing 'profile' object")
-    doc = _valid_report()
-    doc["profile"]["enabled"] = "yes"
-    expect_rejected(doc, "profile.enabled non-bool",
-                    "profile.enabled must be a boolean")
-    doc = _valid_report()
-    doc["profile"]["attributed_forward_ms"] = -1.0
-    expect_rejected(doc, "negative attributed ms",
-                    "profile.attributed_forward_ms must be non-negative")
-    doc = _valid_report()
-    doc["profile"]["top_ops"][0]["flops"] = "many"
-    expect_rejected(doc, "non-numeric op flops",
-                    "profile.top_ops[0].flops must be a number")
-    doc = _valid_report()
-    del doc["profile"]["top_ops"][0]["op"]
-    expect_rejected(doc, "op row without name",
-                    "missing non-empty 'op' string")
-    doc = _valid_report()
-    del doc["profile"]["memory"]["peak_bytes"]
-    expect_rejected(doc, "memory without peak",
-                    "profile.memory.peak_bytes must be a number")
-    doc = _valid_report()
-    doc["profile"]["lanes"] = {"0": {}}
-    expect_rejected(doc, "lanes non-array", "profile.lanes must be an array")
-    doc = _valid_report()
-    del doc["profile"]["roofline"]
-    expect_rejected(doc, "roofline absent",
-                    "profile.roofline must be an object")
-    doc = _valid_report()
-    doc["profile"]["top_ops"] = []
-    expect_rejected(doc, "enabled profile with empty top_ops",
-                    "top_ops is empty")
-    # ...but a disabled profile with empty tables is exactly what every
-    # bench emits when EMBSR_PROF is unset, so that must stay clean.
-    doc = _valid_report()
-    doc["profile"]["enabled"] = False
-    doc["profile"]["steps"] = 0
-    doc["profile"]["top_ops"] = []
-    doc["profile"]["components"] = []
-    doc["profile"]["lanes"] = []
-    expect_clean(doc, "disabled profile with empty tables")
 
     # Serve sidecar rules: a serve* bench must carry the headline scalars,
     # rates must be fractions, and the latency percentiles must be ordered.

@@ -19,9 +19,10 @@ Rules (rule ids in parentheses):
   todo-owner  TODO comments without an owner. `TODO(name): ...` survives;
               an ownerless TODO rots forever because nobody is on the hook
               for it.
-  raw-chrono  direct std::chrono use outside src/obs, src/prof and
-              src/util. All timing flows through WallTimer, obs spans or
-              prof::NowNs, so the profiler sees every measurement and
+  raw-chrono  direct std::chrono use outside src/util. All timing flows
+              through embsr::NowNs (util/timer.h) — WallTimer, obs spans,
+              profiler records and the serving clock all read it — so trace
+              timestamps and profiler records share one time base and
               ad-hoc stopwatches can't drift from the instrumented paths.
   raw-resize  `.resize(` / `.Reshape(` outside src/tensor. Tensor reshape
               and buffer growth invalidate the static liveness intervals
@@ -72,12 +73,12 @@ LAYER_DEPS = {
     "models": {"nn", "optim", "data", "graph", "metrics", "robust",
                "failpoint", "autograd", "tensor", "obs", "prof", "util"},
     "serve": {"models", "nn", "optim", "data", "graph", "metrics", "robust",
-              "failpoint", "autograd", "tensor", "obs", "prof", "util"},
+              "failpoint", "autograd", "tensor", "obs", "util"},
     "core": {"models", "nn", "optim", "data", "graph", "metrics", "robust",
              "failpoint", "autograd", "tensor", "obs", "util"},
     "train": {"core", "datagen", "models", "nn", "optim", "data", "graph",
               "metrics", "robust", "failpoint", "autograd", "tensor", "par",
-              "obs", "prof", "util"},
+              "obs", "util"},
     "verify": {"train", "core", "datagen", "models", "nn", "optim", "data",
                "graph", "metrics", "robust", "failpoint", "autograd",
                "tensor", "obs", "util"},
@@ -102,9 +103,9 @@ RAW_THREAD_RE = re.compile(r"\bstd::thread\b(?!\s*::)")
 # rules strip. Owner must follow immediately in parens: TODO(name).
 TODO_OWNER_RE = re.compile(r"\bTODO\b(?!\([A-Za-z0-9_.@-]+\))")
 RAW_CHRONO_RE = re.compile(r"\bstd::chrono\b")
-# The only directories allowed to read the clock directly; everyone else
-# measures through WallTimer / obs spans / prof::NowNs.
-CHRONO_EXEMPT_DIRS = ("obs", "prof", "util")
+# The only directory allowed to read the clock directly; everyone else
+# measures through embsr::NowNs or WallTimer.
+CHRONO_EXEMPT_DIRS = ("util",)
 RAW_RESIZE_RE = re.compile(r"\.(?:resize|Reshape)\s*\(")
 # The only directory allowed to change a buffer's shape in place; see the
 # raw-resize rule description.
@@ -215,9 +216,9 @@ def lint_file(rel_path, text):
                   "index via at()/vec() or justify byte-level I/O")
         if RAW_CHRONO_RE.search(code) and not chrono_exempt:
             check("raw-chrono",
-                  "direct std::chrono outside src/obs, src/prof and "
-                  "src/util; time through WallTimer, obs spans or "
-                  "prof::NowNs so the profiler sees every measurement")
+                  "direct std::chrono outside src/util; time through "
+                  "embsr::NowNs or WallTimer so every measurement shares "
+                  "one clock")
         if RAW_RESIZE_RE.search(code) and not resize_exempt:
             check("raw-resize",
                   ".resize()/.Reshape() outside src/tensor; in-place shape "
@@ -305,9 +306,18 @@ SELF_TEST_CASES = [
     ("raw-chrono", "bench/x.cc",
      "std::this_thread::sleep_for(std::chrono::milliseconds(5));",
      "const double secs = timer.Seconds();"),
+    ("raw-chrono", "src/obs/x.cc",
+     "const auto now = std::chrono::steady_clock::now();",
+     "const int64_t now_ns = NowNs();"),
+    ("raw-chrono", "src/prof/x.cc",
+     "return std::chrono::duration_cast<std::chrono::nanoseconds>(d);",
+     "const int64_t t0 = NowNs();"),
     ("layer-dag", "src/obs/x.cc",
      '#include "prof/op_profiler.h"',
      '#include "obs/metrics.h"'),
+    ("layer-dag", "src/serve/x.cc",
+     '#include "prof/op_profiler.h"',
+     '#include "models/neural_model.h"'),
     ("raw-resize", "src/models/x.cc",
      "scores.resize(num_items);",
      "std::vector<float> scores(num_items, 0.0f);"),

@@ -112,10 +112,11 @@ for config in "${configs[@]}"; do
   fi
 
   # Third leg: the embsr::prof attribution counters under live profiling.
-  # EMBSR_PROF=1 arms the collector (shared shards, mem tracker atomics,
-  # pool lane stats) while the 4-lane pool runs the prof/par/autograd
-  # suites, the gradient checks and the op-table checks, so every op's
-  # cost function runs under the profiler. Under the thread config this
+  # EMBSR_PROF=1 arms the profiler at process start (prof/enabled.cc) in
+  # every test binary, so the collector's shared shards, the mem tracker
+  # atomics and the pool lane stats record while the 4-lane pool runs the
+  # prof/par/autograd suites, the gradient checks and the op-table
+  # checks: every op's cost function runs under the profiler. Under the thread config this
   # puts the profiler's concurrent record paths in front of TSan, which is
   # the point of the leg.
   prof_log="$build_dir/ctest-$config-prof.log"

@@ -6,15 +6,9 @@ Aggregates the pure-script checks that need no build products:
   2. scripts/lint.py               (the tree is clean)
   3. scripts/check_bench_json.py --self-test
                                    (the bench JSON validator still rejects
-                                   seeded schema-v3 violations, including
-                                   bad `profile` blocks and duplicates)
-  4. scripts/profile_diff.py --self-test
-                                   (the profile differ still flags an
-                                   injected 2x regression)
-  5. scripts/bench_history.py --self-test
-                                   (the trajectory tracker still flags a
-                                   2x wall-time slowdown)
-  6. scripts/check_bench_json.py   on every BENCH_*.json checked into the
+                                   seeded schema-v4 violations, duplicates
+                                   included)
+  4. scripts/check_bench_json.py   on every BENCH_*.json checked into the
      repo (benchmark reports committed as baselines). Zero such files is
      fine — the bench JSON contract is then exercised by the
      bench_json_schema test instead, which runs a real bench binary.
@@ -114,10 +108,6 @@ def main():
     run([py, os.path.join(scripts, "lint.py"), "--repo-root", root], "lint")
     run([py, os.path.join(scripts, "check_bench_json.py"), "--self-test"],
         "bench JSON validator self-test")
-    run([py, os.path.join(scripts, "profile_diff.py"), "--self-test"],
-        "profile differ self-test")
-    run([py, os.path.join(scripts, "bench_history.py"), "--self-test"],
-        "bench trajectory self-test")
 
     bench_jsons = []
     for dirpath, dirnames, names in os.walk(root):

@@ -95,7 +95,7 @@ struct GraphPlan {
   /// Liveness peak: max over steps of simultaneously-live transient bytes.
   /// What a perfect arena would need; the headroom vs. planned_total_bytes
   /// is what liveness-aware allocation could save over heap execution,
-  /// tracked per model by bench_history.
+  /// recorded per model in BENCH_graph_plan.json.
   int64_t planned_peak_bytes = 0;
   /// First-fit arena size: max(offset + size). >= planned_peak_bytes; the
   /// gap is fragmentation.

@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "prof/op_profiler.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace embsr {
 namespace ag {
@@ -83,9 +84,9 @@ void Variable::Backward() const {
     Node* n = *it;
     if (n->backward_fn && n->grad_ready) {
       if (pc != nullptr) {
-        const int64_t t0 = prof::NowNs();
+        const int64_t t0 = NowNs();
         n->backward_fn(n);
-        pc->RecordBackward(n->def->name, n->component, prof::NowNs() - t0);
+        pc->RecordBackward(n->def->name, n->component, NowNs() - t0);
       } else {
         n->backward_fn(n);
       }

@@ -54,7 +54,6 @@ NeuralSessionModel::NeuralSessionModel(std::string name, int64_t num_items,
 
 Status NeuralSessionModel::Fit(const ProcessedDataset& data) {
   EMBSR_TRACE_SPAN("train/fit");
-  prof::MaybeInitFromEnv();
   // A non-positive batch would never advance the mini-batch loop (0) or
   // wrap its size_t stride (-1); reject both before any work.
   if (cfg_.batch_size < 1) {

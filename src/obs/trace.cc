@@ -1,22 +1,16 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 
 #include "obs/json.h"
 #include "util/env.h"
+#include "util/timer.h"
 
 namespace embsr {
 namespace obs {
 
 namespace {
-
-int64_t SteadyNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::atomic<bool>& TimingFlag() {
   static std::atomic<bool> flag{[] {
@@ -65,7 +59,7 @@ void TraceSession::Start(std::string path) {
     buf->events.clear();
   }
   path_ = std::move(path);
-  origin_ns_.store(SteadyNowNs(), std::memory_order_relaxed);
+  origin_ns_.store(NowNs(), std::memory_order_relaxed);
   enabled_.store(true, std::memory_order_relaxed);
 }
 
@@ -92,7 +86,7 @@ Status TraceSession::Stop() {
 }
 
 int64_t TraceSession::NowUs() const {
-  return (SteadyNowNs() - origin_ns_.load(std::memory_order_relaxed)) / 1000;
+  return (NowNs() - origin_ns_.load(std::memory_order_relaxed)) / 1000;
 }
 
 TraceSession::ThreadBuffer* TraceSession::GetThreadBuffer() {

@@ -54,7 +54,7 @@ class TraceSession {
   /// Records one completed span; no-op unless enabled.
   void Record(const char* name, int64_t ts_us, int64_t dur_us);
 
-  /// Microseconds since the session origin (steady clock).
+  /// Microseconds since the session origin (embsr::NowNs).
   int64_t NowUs() const;
 
   /// Merged copy of all thread buffers (event order within a thread is

@@ -7,10 +7,11 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "prof/clock.h"
+#include "prof/enabled.h"
 #include "prof/pool_stats.h"
 #include "util/check.h"
 #include "util/env.h"
+#include "util/timer.h"
 
 namespace embsr {
 namespace par {
@@ -66,12 +67,12 @@ obs::Histogram* ImbalanceHist() {
 
 /// Profiled execution of one inline slice/chunk: times it, credits the
 /// current lane, and feeds the chunk-latency histogram. Only reached when
-/// prof::PoolProfilingEnabled().
+/// prof::Enabled().
 template <typename Body>
 void RunChunkProfiled(const Body& body) {
-  const int64_t t0 = prof::NowNs();
+  const int64_t t0 = NowNs();
   body();
-  const int64_t dur = prof::NowNs() - t0;
+  const int64_t dur = NowNs() - t0;
   prof::AddLaneBusy(t_lane, dur, 1);
   ChunkMsHist()->Observe(static_cast<double>(dur) * 1e-6);
 }
@@ -180,7 +181,7 @@ void ThreadPool::Run(int64_t num_chunks,
   // Inline paths: serial pool, nested submission from inside a parallel
   // region, or a single chunk. Exceptions propagate naturally.
   if (threads_ <= 1 || t_in_parallel_region || num_chunks == 1) {
-    if (prof::PoolProfilingEnabled()) {
+    if (prof::Enabled()) {
       for (int64_t c = 0; c < num_chunks; ++c) {
         RunChunkProfiled([&] { fn(c); });
       }
@@ -198,7 +199,7 @@ void ThreadPool::Run(int64_t num_chunks,
   auto task = std::make_shared<TaskSet>();
   task->fn = &fn;
   task->num_chunks = num_chunks;
-  if (prof::PoolProfilingEnabled()) {
+  if (prof::Enabled()) {
     // Value-initialized -> all counts start at 0.
     task->prof_lane_chunks =
         std::make_unique<std::atomic<int64_t>[]>(threads_);
@@ -294,7 +295,7 @@ void For(int64_t begin, int64_t end, int64_t grain,
   // Fast path: nothing to distribute, or we're already inside a parallel
   // region. Avoids even the Global() lookup for small serial work.
   if (num_chunks == 1 || ThreadPool::InParallelRegion()) {
-    if (prof::PoolProfilingEnabled()) {
+    if (prof::Enabled()) {
       RunChunkProfiled([&] { fn(begin, end); });
     } else {
       fn(begin, end);
@@ -303,7 +304,7 @@ void For(int64_t begin, int64_t end, int64_t grain,
   }
   ThreadPool& pool = ThreadPool::Global();
   if (pool.threads() <= 1) {
-    if (prof::PoolProfilingEnabled()) {
+    if (prof::Enabled()) {
       RunChunkProfiled([&] { fn(begin, end); });
     } else {
       fn(begin, end);

@@ -1,9 +1,5 @@
 #include "prof/mem_tracker.h"
 
-#include <mutex>
-
-#include "prof/clock.h"
-
 namespace embsr {
 namespace prof {
 
@@ -17,31 +13,9 @@ std::atomic<int64_t> g_alloc_bytes_total{0};
 
 thread_local int64_t t_pending_alloc_bytes = 0;
 
-std::mutex g_timeline_mu;
-bool g_timeline_on = false;
-int64_t g_timeline_cap = 65536;
-std::vector<MemEvent>* g_timeline = nullptr;  // leaked, exit-safe
-std::atomic<int64_t> g_timeline_dropped{0};
-
-void RecordEvent(int64_t delta, int64_t live) {
-  std::lock_guard<std::mutex> lock(g_timeline_mu);
-  if (!g_timeline_on) return;
-  if (g_timeline == nullptr) {
-    g_timeline =
-        new std::vector<MemEvent>();  // lint: allow(raw-new): leaked, exit-safe
-  }
-  if (static_cast<int64_t>(g_timeline->size()) >= g_timeline_cap) {
-    g_timeline_dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  g_timeline->push_back(MemEvent{NowNs(), delta, live});
-}
-
 }  // namespace
 
 namespace internal {
-
-std::atomic<bool> g_mem_enabled{false};
 
 void OnAllocSlow(int64_t bytes) {
   int64_t live =
@@ -55,14 +29,11 @@ void OnAllocSlow(int64_t bytes) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes_total.fetch_add(bytes, std::memory_order_relaxed);
   t_pending_alloc_bytes += bytes;
-  RecordEvent(bytes, live);
 }
 
 void OnFreeSlow(int64_t bytes) {
-  int64_t live =
-      g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed) - bytes;
+  g_live_bytes.fetch_sub(bytes, std::memory_order_relaxed);
   g_free_count.fetch_add(1, std::memory_order_relaxed);
-  RecordEvent(-bytes, live);
 }
 
 int64_t TakePendingAllocBytes() {
@@ -79,9 +50,6 @@ void ResetMemStats() {
   g_alloc_count.store(0, std::memory_order_relaxed);
   g_free_count.store(0, std::memory_order_relaxed);
   g_alloc_bytes_total.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(g_timeline_mu);
-  if (g_timeline != nullptr) g_timeline->clear();
-  g_timeline_dropped.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace internal
@@ -94,21 +62,6 @@ MemStats MemSnapshot() {
   s.free_count = g_free_count.load(std::memory_order_relaxed);
   s.alloc_bytes_total = g_alloc_bytes_total.load(std::memory_order_relaxed);
   return s;
-}
-
-void SetTimelineCapture(bool enabled, int64_t cap) {
-  std::lock_guard<std::mutex> lock(g_timeline_mu);
-  g_timeline_on = enabled;
-  if (cap > 0) g_timeline_cap = cap;
-}
-
-std::vector<MemEvent> TimelineSnapshot() {
-  std::lock_guard<std::mutex> lock(g_timeline_mu);
-  return g_timeline == nullptr ? std::vector<MemEvent>() : *g_timeline;
-}
-
-int64_t TimelineDropped() {
-  return g_timeline_dropped.load(std::memory_order_relaxed);
 }
 
 }  // namespace prof

@@ -1,19 +1,14 @@
 #ifndef EMBSR_PROF_MEM_TRACKER_H_
 #define EMBSR_PROF_MEM_TRACKER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <vector>
+
+#include "prof/enabled.h"
 
 namespace embsr {
 namespace prof {
 
 namespace internal {
-
-// Flipped by prof::Start()/Stop(). A relaxed load of this flag is the ONLY
-// cost a Tensor alloc/free pays when profiling is off (the
-// zero-overhead-when-off guarantee, pinned by perf_regression_test).
-extern std::atomic<bool> g_mem_enabled;
 
 void OnAllocSlow(int64_t bytes);
 void OnFreeSlow(int64_t bytes);
@@ -34,8 +29,7 @@ int64_t TakePendingAllocBytes();
 /// before prof::Start() and freed during the session is simply invisible,
 /// instead of driving the watermark negative.
 inline bool OnTensorAlloc(int64_t elems) {
-  if (elems != 0 &&
-      internal::g_mem_enabled.load(std::memory_order_relaxed)) {
+  if (elems != 0 && Enabled()) {
     internal::OnAllocSlow(elems * static_cast<int64_t>(sizeof(float)));
     return true;
   }
@@ -60,22 +54,6 @@ struct MemStats {
 };
 
 MemStats MemSnapshot();
-
-/// One allocation/free event; `delta_bytes` is signed (negative = free),
-/// `live_bytes` is the post-event global watermark: the measured size +
-/// lifetime stream that analyze/graph_plan estimates statically.
-struct MemEvent {
-  int64_t ts_ns = 0;  // NowNs() at event time
-  int64_t delta_bytes = 0;
-  int64_t live_bytes = 0;
-};
-
-/// Timeline capture is off by default (EMBSR_PROF_TIMELINE=1 enables it,
-/// EMBSR_PROF_TIMELINE_CAP bounds it, default 65536 events); events past
-/// the cap are counted in TimelineDropped() instead of recorded.
-void SetTimelineCapture(bool enabled, int64_t cap);
-std::vector<MemEvent> TimelineSnapshot();
-int64_t TimelineDropped();
 
 namespace internal {
 // Reset counters at prof::Start(): peak collapses to the current live

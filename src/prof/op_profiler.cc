@@ -4,31 +4,33 @@
 #include <map>
 #include <mutex>
 
-#include "util/env.h"
+#include "obs/metrics.h"
+#include "util/timer.h"
 
 namespace embsr {
 namespace prof {
 
 namespace {
 
-struct OpStats {
-  int64_t calls = 0;
-  int64_t backward_calls = 0;
-  int64_t forward_ns = 0;
-  int64_t backward_ns = 0;
-  double flops = 0.0;
-  double bytes_read = 0.0;
-  double bytes_written = 0.0;
-  int64_t alloc_bytes = 0;
-};
+// Shards key their OpAggs by name and leave OpAgg::name empty.
+void Accumulate(OpAgg& dst, const OpAgg& src) {
+  dst.calls += src.calls;
+  dst.backward_calls += src.backward_calls;
+  dst.forward_ns += src.forward_ns;
+  dst.backward_ns += src.backward_ns;
+  dst.flops += src.flops;
+  dst.bytes_read += src.bytes_read;
+  dst.bytes_written += src.bytes_written;
+  dst.alloc_bytes += src.alloc_bytes;
+}
 
 // Per-thread shard. The owning thread takes the (uncontended) mutex per
 // record; Snapshot() takes it briefly per shard. Shards are leaked so a
 // snapshot after a recording thread exits still sees its data.
 struct Shard {
   std::mutex mu;
-  std::map<std::string, OpStats> ops;
-  std::map<std::string, OpStats> components;
+  std::map<std::string, OpAgg> ops;
+  std::map<std::string, OpAgg> components;
   int64_t last_mark_ns = 0;  // 0 = no origin; first record charges 0 gap
 };
 
@@ -51,25 +53,63 @@ Shard& LocalShard() {
   return *shard;
 }
 
-Collector* Singleton() {
-  static Collector* c = new Collector();  // lint: allow(raw-new): leaked singleton
-  return c;
-}
-
 const char* ComponentKey(const char* component) {
-  return component == nullptr ? "(none)" : component;
+  return component == nullptr ? "none" : component;
 }
 
 std::atomic<int64_t> g_steps{0};
 std::atomic<int64_t> g_step_ns{0};
-std::atomic<int64_t> g_start_ns{0};
-std::atomic<int64_t> g_stop_ns{0};
 
 thread_local const char* t_component = nullptr;
 
+// Gauges the last Stop() published; Start() zeroes them, so no snapshot
+// taken in or after a session shows an op only an earlier session ran.
+std::mutex g_published_mu;
+std::vector<obs::Gauge*>& Published() {
+  static std::vector<obs::Gauge*> v;  // guarded by g_published_mu
+  return v;
+}
+
+void Publish(const ProfileSnapshot& snap) {
+  obs::Registry& reg = obs::Registry::Global();
+  std::lock_guard<std::mutex> lock(g_published_mu);
+  auto set = [&](const std::string& name, double v) {
+    obs::Gauge* g = reg.GetGauge(name);
+    g->Set(v);
+    Published().push_back(g);
+  };
+  auto set_agg = [&](const std::string& prefix, const OpAgg& a) {
+    set(prefix + "/calls", static_cast<double>(a.calls));
+    set(prefix + "/backward_calls", static_cast<double>(a.backward_calls));
+    set(prefix + "/forward_ms", static_cast<double>(a.forward_ns) * 1e-6);
+    set(prefix + "/backward_ms", static_cast<double>(a.backward_ns) * 1e-6);
+    set(prefix + "/flops", a.flops);
+    set(prefix + "/bytes_read", a.bytes_read);
+    set(prefix + "/bytes_written", a.bytes_written);
+    set(prefix + "/alloc_bytes", static_cast<double>(a.alloc_bytes));
+  };
+  for (const OpAgg& a : snap.ops) set_agg("prof/op/" + a.name, a);
+  for (const OpAgg& a : snap.components) {
+    set_agg("prof/component/" + a.name, a);
+  }
+  set("prof/mem/live_bytes", static_cast<double>(snap.mem.live_bytes));
+  set("prof/mem/peak_bytes", static_cast<double>(snap.mem.peak_bytes));
+  set("prof/mem/alloc_count", static_cast<double>(snap.mem.alloc_count));
+  set("prof/mem/free_count", static_cast<double>(snap.mem.free_count));
+  set("prof/mem/alloc_bytes_total",
+      static_cast<double>(snap.mem.alloc_bytes_total));
+  for (size_t i = 0; i < snap.lanes.size(); ++i) {
+    const std::string lane = "prof/lane/" + std::to_string(i);
+    set(lane + "/busy_ms", static_cast<double>(snap.lanes[i].busy_ns) * 1e-6);
+    set(lane + "/chunks", static_cast<double>(snap.lanes[i].chunks));
+  }
+  set("prof/steps", static_cast<double>(snap.steps));
+  set("prof/step_ms", static_cast<double>(snap.step_ns) * 1e-6);
+}
+
 }  // namespace
 
-std::atomic<Collector*> Collector::g_active{nullptr};
+Collector Collector::g_collector;
 
 void Collector::RecordForward(const char* op, const char* component,
                               const OpCost& cost) {
@@ -80,20 +120,15 @@ void Collector::RecordForward(const char* op, const char* component,
   const int64_t gap =
       shard.last_mark_ns == 0 ? 0 : now - shard.last_mark_ns;
   shard.last_mark_ns = now;
-  OpStats& s = shard.ops[op];
-  s.calls += 1;
-  s.forward_ns += gap;
-  s.flops += cost.flops;
-  s.bytes_read += cost.bytes_read;
-  s.bytes_written += cost.bytes_written;
-  s.alloc_bytes += pending;
-  OpStats& c = shard.components[ComponentKey(component)];
-  c.calls += 1;
-  c.forward_ns += gap;
-  c.flops += cost.flops;
-  c.bytes_read += cost.bytes_read;
-  c.bytes_written += cost.bytes_written;
-  c.alloc_bytes += pending;
+  OpAgg d;
+  d.calls = 1;
+  d.forward_ns = gap;
+  d.flops = cost.flops;
+  d.bytes_read = cost.bytes_read;
+  d.bytes_written = cost.bytes_written;
+  d.alloc_bytes = pending;
+  Accumulate(shard.ops[op], d);
+  Accumulate(shard.components[ComponentKey(component)], d);
 }
 
 void Collector::RecordBackward(const char* op, const char* component,
@@ -101,14 +136,12 @@ void Collector::RecordBackward(const char* op, const char* component,
   const int64_t pending = internal::TakePendingAllocBytes();
   Shard& shard = LocalShard();
   std::lock_guard<std::mutex> lock(shard.mu);
-  OpStats& s = shard.ops[op];
-  s.backward_calls += 1;
-  s.backward_ns += ns;
-  s.alloc_bytes += pending;
-  OpStats& c = shard.components[ComponentKey(component)];
-  c.backward_calls += 1;
-  c.backward_ns += ns;
-  c.alloc_bytes += pending;
+  OpAgg d;
+  d.backward_calls = 1;
+  d.backward_ns = ns;
+  d.alloc_bytes = pending;
+  Accumulate(shard.ops[op], d);
+  Accumulate(shard.components[ComponentKey(component)], d);
 }
 
 void Collector::MarkThisThread() {
@@ -125,6 +158,11 @@ void Collector::AddStep(int64_t ns) {
 
 void Start() {
   {
+    std::lock_guard<std::mutex> lock(g_published_mu);
+    for (obs::Gauge* g : Published()) g->Set(0.0);
+    Published().clear();
+  }
+  {
     std::lock_guard<std::mutex> lock(g_shards_mu);
     for (Shard* s : Shards()) {
       std::lock_guard<std::mutex> sl(s->mu);
@@ -137,43 +175,12 @@ void Start() {
   internal::ResetLaneStats();
   g_steps.store(0, std::memory_order_relaxed);
   g_step_ns.store(0, std::memory_order_relaxed);
-  g_start_ns.store(NowNs(), std::memory_order_relaxed);
-  g_stop_ns.store(0, std::memory_order_relaxed);
-  internal::g_mem_enabled.store(true, std::memory_order_relaxed);
-  internal::g_pool_enabled.store(true, std::memory_order_relaxed);
-  // Release so a thread that observes the collector also observes the
-  // cleared shard/memory state.
-  Collector::g_active.store(Singleton(), std::memory_order_release);
+  internal::g_enabled.store(true, std::memory_order_release);
 }
 
 void Stop() {
-  Collector::g_active.store(nullptr, std::memory_order_release);
-  internal::g_mem_enabled.store(false, std::memory_order_relaxed);
-  internal::g_pool_enabled.store(false, std::memory_order_relaxed);
-  if (g_start_ns.load(std::memory_order_relaxed) != 0) {
-    g_stop_ns.store(NowNs(), std::memory_order_relaxed);
-  }
-}
-
-void MaybeInitFromEnv() {
-  static const bool started = [] {
-    if (GetEnvInt("EMBSR_PROF", 0) != 1) return false;
-    if (GetEnvInt("EMBSR_PROF_TIMELINE", 0) == 1) {
-      SetTimelineCapture(true,
-                         GetEnvInt("EMBSR_PROF_TIMELINE_CAP", 65536));
-    }
-    Start();
-    return true;
-  }();
-  (void)started;
-}
-
-double ProfiledSeconds() {
-  const int64_t start = g_start_ns.load(std::memory_order_relaxed);
-  if (start == 0) return 0.0;
-  int64_t stop = g_stop_ns.load(std::memory_order_relaxed);
-  if (Enabled() || stop == 0) stop = NowNs();
-  return static_cast<double>(stop - start) * 1e-9;
+  if (!internal::g_enabled.exchange(false, std::memory_order_acq_rel)) return;
+  Publish(Snapshot());
 }
 
 const char* CurrentComponent() { return t_component; }
@@ -197,58 +204,27 @@ ComponentScope::~ComponentScope() { t_component = prev_; }
 
 ProfileSnapshot Snapshot() {
   ProfileSnapshot snap;
-  snap.enabled = Enabled();
-  snap.profiled_seconds = ProfiledSeconds();
   snap.steps = g_steps.load(std::memory_order_relaxed);
   snap.step_ns = g_step_ns.load(std::memory_order_relaxed);
 
-  std::map<std::string, OpStats> ops;
-  std::map<std::string, OpStats> components;
+  std::map<std::string, OpAgg> ops;
+  std::map<std::string, OpAgg> components;
   {
     std::lock_guard<std::mutex> lock(g_shards_mu);
     for (Shard* shard : Shards()) {
       std::lock_guard<std::mutex> sl(shard->mu);
-      for (const auto& kv : shard->ops) {
-        OpStats& dst = ops[kv.first];
-        const OpStats& src = kv.second;
-        dst.calls += src.calls;
-        dst.backward_calls += src.backward_calls;
-        dst.forward_ns += src.forward_ns;
-        dst.backward_ns += src.backward_ns;
-        dst.flops += src.flops;
-        dst.bytes_read += src.bytes_read;
-        dst.bytes_written += src.bytes_written;
-        dst.alloc_bytes += src.alloc_bytes;
-      }
-      for (const auto& kv : shard->components) {
-        OpStats& dst = components[kv.first];
-        const OpStats& src = kv.second;
-        dst.calls += src.calls;
-        dst.backward_calls += src.backward_calls;
-        dst.forward_ns += src.forward_ns;
-        dst.backward_ns += src.backward_ns;
-        dst.flops += src.flops;
-        dst.bytes_read += src.bytes_read;
-        dst.bytes_written += src.bytes_written;
-        dst.alloc_bytes += src.alloc_bytes;
+      for (const auto& [name, a] : shard->ops) Accumulate(ops[name], a);
+      for (const auto& [name, a] : shard->components) {
+        Accumulate(components[name], a);
       }
     }
   }
-  auto to_aggs = [](const std::map<std::string, OpStats>& m) {
+  auto to_aggs = [](const std::map<std::string, OpAgg>& m) {
     std::vector<OpAgg> aggs;
     aggs.reserve(m.size());
-    for (const auto& kv : m) {
-      OpAgg a;
-      a.name = kv.first;
-      a.calls = kv.second.calls;
-      a.backward_calls = kv.second.backward_calls;
-      a.forward_ns = kv.second.forward_ns;
-      a.backward_ns = kv.second.backward_ns;
-      a.flops = kv.second.flops;
-      a.bytes_read = kv.second.bytes_read;
-      a.bytes_written = kv.second.bytes_written;
-      a.alloc_bytes = kv.second.alloc_bytes;
-      aggs.push_back(std::move(a));
+    for (const auto& [name, a] : m) {
+      aggs.push_back(a);
+      aggs.back().name = name;
     }
     std::stable_sort(aggs.begin(), aggs.end(),
                      [](const OpAgg& x, const OpAgg& y) {
@@ -260,8 +236,6 @@ ProfileSnapshot Snapshot() {
   snap.ops = to_aggs(ops);
   snap.components = to_aggs(components);
   snap.mem = MemSnapshot();
-  snap.timeline_events = static_cast<int64_t>(TimelineSnapshot().size());
-  snap.timeline_dropped = TimelineDropped();
   snap.lanes = LaneSnapshot();
   return snap;
 }

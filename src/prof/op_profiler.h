@@ -6,8 +6,8 @@
 #include <string>
 #include <vector>
 
-#include "prof/clock.h"
 #include "prof/cost_model.h"
+#include "prof/enabled.h"
 #include "prof/mem_tracker.h"
 #include "prof/pool_stats.h"
 
@@ -38,15 +38,18 @@ struct OpAgg {
 /// buffers) so snapshots after thread exit stay valid.
 class Collector {
  public:
-  /// One acquire load; nullptr whenever profiling is off. This is the
-  /// single branch the EMBSR_PROF-off fast path pays per recorded op.
+  /// nullptr whenever profiling is off: one acquire load is the single
+  /// branch the EMBSR_PROF-off fast path pays per recorded op. Acquire
+  /// pairs with Start()'s release, so a recording thread sees the cleared
+  /// shard and memory state.
   static Collector* ActiveOrNull() {
-    return g_active.load(std::memory_order_acquire);
+    return internal::g_enabled.load(std::memory_order_acquire) ? &g_collector
+                                                               : nullptr;
   }
 
   /// Charges the gap since the last record point / mark on this thread to
   /// `op`, adds the modeled cost, and drains pending tensor-alloc bytes.
-  /// `component` may be null ("(none)" in the rollup).
+  /// `component` may be null ("none" in the rollup).
   void RecordForward(const char* op, const char* component,
                      const OpCost& cost);
 
@@ -61,28 +64,24 @@ class Collector {
   void AddStep(int64_t ns);
 
  private:
-  friend void Start();
-  friend void Stop();
-  friend class ProfileAccess;
-
-  static std::atomic<Collector*> g_active;
+  static Collector g_collector;
 };
 
-/// True while a profiling session is active.
-inline bool Enabled() { return Collector::ActiveOrNull() != nullptr; }
-
-/// Starts a profiling session: clears all per-op/memory/lane state and
-/// enables the tensor + pool hooks. Stop() freezes the data for snapshots.
+/// Starts a profiling session: clears all per-op/memory/lane state, zeroes
+/// the gauges the previous session published, and enables every hook.
+/// EMBSR_PROF=1 opens a session at process start without this call.
 void Start();
+
+/// Ends the active session (a no-op when none is active) and publishes its
+/// totals into obs::Registry as gauges, so a metrics snapshot carries them:
+///   prof/op/<op>/<field> and prof/component/<name>/<field> for calls,
+///     backward_calls, forward_ms, backward_ms, flops, bytes_read,
+///     bytes_written and alloc_bytes;
+///   prof/mem/<field> for every MemStats field;
+///   prof/lane/<i>/busy_ms and prof/lane/<i>/chunks;
+///   prof/steps and prof/step_ms.
+/// The data stays frozen for Snapshot() until the next Start().
 void Stop();
-
-/// Starts a session once per process if EMBSR_PROF=1 (reads the timeline
-/// knobs too). Called from bench_common, NeuralSessionModel::Fit and the
-/// evaluator so `EMBSR_PROF=1 ./bench_x` needs no code changes.
-void MaybeInitFromEnv();
-
-/// Wall seconds from Start() to Stop() (or to now while active).
-double ProfiledSeconds();
 
 /// Innermost active component label on this thread, or nullptr.
 const char* CurrentComponent();
@@ -120,24 +119,15 @@ class ComponentScope {
 
 /// Point-in-time merge of every shard plus memory/lane/step state.
 struct ProfileSnapshot {
-  bool enabled = false;
-  double profiled_seconds = 0.0;
   int64_t steps = 0;
   int64_t step_ns = 0;
   std::vector<OpAgg> ops;         // sorted by forward+backward ns, desc
   std::vector<OpAgg> components;  // same order
   MemStats mem;
-  int64_t timeline_events = 0;
-  int64_t timeline_dropped = 0;
   std::vector<LaneStats> lanes;
 };
 
 ProfileSnapshot Snapshot();
-
-/// The BENCH_*.json schema-v3 `profile` block (one JSON object; see
-/// DESIGN.md §13 and scripts/check_bench_json.py). Valid — with
-/// `"enabled": false` — even when no session ever ran.
-std::string ProfileJson(int top_n = 20);
 
 }  // namespace prof
 }  // namespace embsr

@@ -1,5 +1,7 @@
 #include "prof/pool_stats.h"
 
+#include <atomic>
+
 namespace embsr {
 namespace prof {
 
@@ -18,8 +20,6 @@ std::atomic<int> g_max_lane_seen{-1};
 }  // namespace
 
 namespace internal {
-
-std::atomic<bool> g_pool_enabled{false};
 
 void ResetLaneStats() {
   for (auto& slot : g_lanes) {

@@ -1,24 +1,13 @@
 #ifndef EMBSR_PROF_POOL_STATS_H_
 #define EMBSR_PROF_POOL_STATS_H_
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
 namespace embsr {
 namespace prof {
 
-namespace internal {
-// Mirrors the profiler enable flag; par reads this (one relaxed load per
-// chunk batch) instead of reaching up into the profiler object.
-extern std::atomic<bool> g_pool_enabled;
-}  // namespace internal
-
-inline bool PoolProfilingEnabled() {
-  return internal::g_pool_enabled.load(std::memory_order_relaxed);
-}
-
-/// Cumulative per-lane accounting since prof::Start(). Lane 0 is the
+/// Cumulative per-lane accounting since the session started. Lane 0 is the
 /// submitting thread (the pool's fork-join design has the submitter work
 /// too); lanes 1..N are pool workers.
 struct LaneStats {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "prof/clock.h"
 #include "util/timer.h"
 
 namespace embsr {
@@ -16,8 +15,8 @@ namespace serve {
 /// goes through one of these two functions — never through a raw clock —
 /// so tests can swap in a ManualClock and make "the scorer took 80 ms" a
 /// deterministic fact instead of a flaky race against real time. The real
-/// clock reads prof::NowNs (the repo's one sanctioned monotonic ns clock)
-/// and sleeps through util's SleepForNs.
+/// clock reads embsr::NowNs, the clock behind every trace span and profiler
+/// record, and sleeps through util's SleepForNs.
 struct ServeClock {
   std::function<int64_t()> now_ns;
   std::function<void(int64_t)> sleep_ns;
@@ -25,7 +24,7 @@ struct ServeClock {
 
 /// Wall-clock ServeClock for production and benches.
 inline ServeClock RealClock() {
-  return ServeClock{[] { return prof::NowNs(); },
+  return ServeClock{[] { return NowNs(); },
                     [](int64_t ns) { SleepForNs(ns); }};
 }
 

@@ -6,7 +6,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "par/thread_pool.h"
-#include "prof/op_profiler.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -22,7 +21,6 @@ std::vector<double> EvalResult::ReciprocalRanksAt(int k) const {
 EvalResult Evaluate(Recommender* model, const std::vector<Example>& test,
                     const std::vector<int>& ks, size_t max_examples) {
   EMBSR_TRACE_SPAN("eval/evaluate");
-  prof::MaybeInitFromEnv();
   static obs::Counter* example_counter =
       obs::Registry::Global().GetCounter("eval/examples");
   static obs::Gauge* throughput_gauge =

@@ -7,23 +7,32 @@
 
 namespace embsr {
 
+/// Monotonic nanoseconds: the one clock behind every measurement in the
+/// repo — WallTimer, trace spans, profiler records, lane stats and the
+/// serving clock — so all of them share one time base. Only src/util may
+/// read std::chrono directly (lint rule `raw-chrono`).
+inline int64_t NowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// Monotonic wall-clock stopwatch.
 class WallTimer {
  public:
-  WallTimer() : start_(Clock::now()) {}
+  WallTimer() : start_ns_(NowNs()) {}
 
-  void Reset() { start_ = Clock::now(); }
+  void Reset() { start_ns_ = NowNs(); }
 
   /// Seconds elapsed since construction or the last Reset().
   double ElapsedSeconds() const {
-    return std::chrono::duration<double>(Clock::now() - start_).count();
+    return static_cast<double>(NowNs() - start_ns_) / 1e9;
   }
 
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start_;
+  int64_t start_ns_;
 };
 
 /// Blocks the calling thread for `ns` nanoseconds (no-op for ns <= 0).

@@ -85,8 +85,7 @@ TEST(PerfRegression, BatchedEvalThroughputFloorAtBatch32) {
   // 32 per-step GEMVs fuse into one GEMM — so the floor holds even though
   // both legs fan out across the pool. Like
   // the MatMul leg above, the BENCH_batch_smoke.json sidecar (with the
-  // sessions_per_sec scalars bench_history.py checks) is written before
-  // any skip.
+  // sessions_per_sec scalars) is written before any skip.
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
   auto data = MakeDataset(JdAppliancesConfig(0.05));
   ASSERT_TRUE(data.ok());

@@ -1,4 +1,5 @@
-// embsr::prof — per-op attribution, cost models, memory tracker, lane stats.
+// embsr::prof — per-op attribution, cost models, memory tracker, lane stats
+// and their publication into the obs metrics registry.
 //
 // Every op's cost function lives in its ag::OpTable entry, so cost coverage
 // is structural (OpTable.* in autograd_test runs each one on real shapes).
@@ -6,6 +7,7 @@
 //  - ProfAttribution pins the gap-based accounting: with profiling on,
 //    per-op forward+backward time summed over the snapshot must land
 //    within 10% of the enclosing StepScope spans.
+//  - ProfPublish pins what Stop() leaves in the registry.
 
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "autograd/op_def.h"
 #include "autograd/ops.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "prof/op_profiler.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -125,6 +128,7 @@ TEST(ProfAttribution, ComponentScopeLabelsOps) {
 }
 
 TEST(ProfAttribution, DisabledProfilerRecordsNothing) {
+  prof::Stop();  // ends the session EMBSR_PROF=1 opens at process start
   ASSERT_FALSE(prof::Enabled());
   {
     prof::StepScope step;  // must be inert when off
@@ -174,25 +178,6 @@ TEST(MemTrackerTest, MoveTransfersOwnershipWithoutDoubleCounting) {
   prof::Stop();
 }
 
-TEST(MemTrackerTest, TimelineCapturesEventsAndCountsDrops) {
-  prof::SetTimelineCapture(true, 4);
-  prof::Start();  // clears the timeline
-  {
-    std::vector<Tensor> keep;
-    for (int i = 0; i < 6; ++i) keep.push_back(Tensor::Zeros({4, 4}));
-  }
-  prof::Stop();
-  const std::vector<prof::MemEvent> events = prof::TimelineSnapshot();
-  EXPECT_EQ(events.size(), 4u);
-  EXPECT_GT(prof::TimelineDropped(), 0);
-  for (const prof::MemEvent& e : events) {
-    EXPECT_GT(e.ts_ns, 0);
-    EXPECT_EQ(e.delta_bytes, 64);  // 4x4 floats, all allocs fit in the cap
-    EXPECT_GE(e.live_bytes, e.delta_bytes);
-  }
-  prof::SetTimelineCapture(false, 65536);  // restore the default
-}
-
 TEST(ProfPoolStats, LaneAccountingRoundTrips) {
   prof::Start();
   prof::AddLaneBusy(0, 1000, 2);
@@ -208,24 +193,46 @@ TEST(ProfPoolStats, LaneAccountingRoundTrips) {
   prof::Stop();
 }
 
-TEST(ProfReport, JsonHasTheSchemaV3Keys) {
+double Gauge(const std::string& name) {
+  return obs::Registry::Global().GetGauge(name)->value();
+}
+
+TEST(ProfPublish, StopPublishesTotalsAndALaterSessionZeroesThem) {
   Rng rng(5);
   const Tensor t = Tensor::Randn({32, 32}, 0.5f, &rng);
+  const int kSteps = 3;
   prof::Start();
-  {
+  for (int i = 0; i < kSteps; ++i) {
     prof::StepScope step;
     Variable a(t, true);
-    ag::SumAll(ag::MatMul(a, a)).Backward();
+    ag::SumAll(ag::MatMul(ag::MatMul(a, a), a)).Backward();
   }
   prof::Stop();
-  const std::string json = prof::ProfileJson();
-  for (const char* key :
-       {"\"enabled\"", "\"steps\"", "\"step_ms\"", "\"top_ops\"",
-        "\"components\"", "\"memory\"", "\"peak_bytes\"", "\"lanes\"",
-        "\"pool\"", "\"roofline\"", "\"MatMul\""}) {
-    EXPECT_NE(json.find(key), std::string::npos)
-        << "profile JSON missing " << key << ": " << json;
+
+  double matmul_flops = 0.0;
+  for (const prof::OpAgg& op : prof::Snapshot().ops) {
+    if (op.name == "MatMul") matmul_flops = op.flops;
   }
+  ASSERT_GT(matmul_flops, 0.0);
+  EXPECT_EQ(Gauge("prof/op/MatMul/calls"), 2.0 * kSteps);
+  EXPECT_EQ(Gauge("prof/op/MatMul/backward_calls"), 2.0 * kSteps);
+  EXPECT_EQ(Gauge("prof/op/MatMul/flops"), matmul_flops);
+  EXPECT_GE(Gauge("prof/component/none/calls"), 2.0 * kSteps);
+  EXPECT_EQ(Gauge("prof/steps"), kSteps);
+  EXPECT_GT(Gauge("prof/step_ms"), 0.0);
+  EXPECT_GT(Gauge("prof/mem/alloc_count"), 0.0);
+
+  // A later session that runs no MatMul must not show the earlier one's.
+  prof::Start();
+  {
+    Variable a(Tensor::Scalar(2.0f), true);
+    ag::Mul(a, a).Backward();
+  }
+  prof::Stop();
+  EXPECT_EQ(Gauge("prof/op/MatMul/calls"), 0.0);
+  EXPECT_EQ(Gauge("prof/op/MatMul/flops"), 0.0);
+  EXPECT_EQ(Gauge("prof/op/Mul/calls"), 1.0);
+  EXPECT_EQ(Gauge("prof/steps"), 0.0);
 }
 
 }  // namespace

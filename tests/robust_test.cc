@@ -540,12 +540,11 @@ TEST(DegradedSweepTest, BenchReportRecordsPerCellStatus) {
   auto json = ReadFileToString(dir + "/BENCH_robust_test.json");
   ASSERT_TRUE(json.ok());
   const std::string& doc = json.value();
-  EXPECT_NE(doc.find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(doc.find("\"schema_version\":4"), std::string::npos);
   EXPECT_NE(doc.find("\"status\":\"ok\""), std::string::npos);
   EXPECT_NE(doc.find("\"status\":\"failed\""), std::string::npos);
   EXPECT_NE(doc.find("fit failed: injected"), std::string::npos);
-  // Schema v3: the profile block is present even with EMBSR_PROF unset.
-  EXPECT_NE(doc.find("\"profile\""), std::string::npos);
+  EXPECT_NE(doc.find("\"metrics\""), std::string::npos);
 }
 
 }  // namespace
