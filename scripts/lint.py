@@ -24,13 +24,11 @@ Rules (rule ids in parentheses):
               profiler records and the serving clock all read it — so trace
               timestamps and profiler records share one time base and
               ad-hoc stopwatches can't drift from the instrumented paths.
-  raw-resize  `.resize(` / `.Reshape(` outside src/tensor. Tensor reshape
-              and buffer growth invalidate the static liveness intervals
-              the arena planner (src/analyze) proves safe, and Reshape's
-              copy-on-grow bug class is exactly what the PR-6 memory
-              tracker caught; std::vector sizing in I/O or graph-building
-              code must justify with an inline suppression so every site
-              is audited.
+  raw-resize  `.resize(` / `.Reshape(` outside src/tensor. Reshape's
+              copy-on-grow bug class is exactly what the memory tracker
+              (src/prof) caught; std::vector sizing in I/O or
+              graph-building code must justify with an inline suppression
+              so every site is audited.
 
 Suppressions: append `// lint: allow(<rule-id>): <reason>` to the offending
 line, or put it on the line directly above (it covers both). The reason is
@@ -222,7 +220,7 @@ def lint_file(rel_path, text):
         if RAW_RESIZE_RE.search(code) and not resize_exempt:
             check("raw-resize",
                   ".resize()/.Reshape() outside src/tensor; in-place shape "
-                  "changes break the planner's static liveness intervals — "
+                  "changes invite Reshape's copy-on-grow bug class — "
                   "construct at the final size, or justify container "
                   "sizing with an inline suppression")
         # TODOs live in comments, so this rule scans the raw line.

@@ -97,13 +97,12 @@ for config in "${configs[@]}"; do
   echo "=== [$config] ctest EMBSR_THREADS=4 (log: $par_log)"
   # ctest registers gtest-discovered names (suite.case), so the filter
   # matches the suites from par_test, kernel_equiv_test, determinism_test,
-  # obs_race_test, access_sentinel_test, graph_audit_test,
-  # graph_plan_test (whose planner brackets its own prof session around
-  # parallel-kernel forward/backward passes) and batch_equiv_test (the
-  # batched collator/forward/backward paths and the evaluator's chunk
-  # scheduling at forward batch 4 and 16).
+  # obs_race_test, access_sentinel_test, graph_audit_test (whose zoo audit
+  # brackets its own prof session around parallel-kernel forward/backward
+  # passes) and batch_equiv_test (the batched collator/forward/backward
+  # paths and the evaluator's chunk scheduling at forward batch 4 and 16).
   if (cd "$build_dir" && EMBSR_THREADS=4 ctest --output-on-failure \
-        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|GraphPlan|BatchEquiv)\.' \
+        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv)\.' \
         2>&1 | tee "$par_log"); then
     echo "=== [$config threads=4] PASS"
   else

@@ -14,15 +14,9 @@ Aggregates the pure-script checks that need no build products:
      bench_json_schema test instead, which runs a real bench binary.
 
 With --graph-audit BIN (CMake passes the built graph_audit_test), also runs
-the autograd-graph auditor over the whole model zoo as a final stage, so
-the gate covers graph wiring as well as source hygiene.
-
-With --graph-plan BIN (CMake passes the built graph_plan_test), also runs
-the static shape/liveness analyzer and arena planner over the whole model
-zoo — every graph gets a verified non-overlapping arena plan whose planned
-footprint brackets the prof-measured peak — via check_bench_json.py --run,
-so the BENCH_graph_plan.json sidecar it writes is schema-validated in the
-same stage.
+the autograd-graph auditor over the whole model zoo, so the gate covers
+graph wiring, op shape rules and the recorded-vs-measured peak memory
+bracket as well as source hygiene.
 
 With EMBSR_REQUIRE_TIDY=1 in the environment, clang-tidy becomes a *hard*
 stage: the binary must exist and .clang-tidy must parse (clang-tidy
@@ -83,12 +77,7 @@ def main():
                             os.path.dirname(os.path.abspath(__file__))))
     parser.add_argument("--graph-audit", metavar="BIN", default=None,
                         help="path to the built graph_audit_test binary; "
-                             "when given, run it as the final gate stage")
-    parser.add_argument("--graph-plan", metavar="BIN", default=None,
-                        help="path to the built graph_plan_test binary; "
-                             "when given, plan + statically verify every "
-                             "zoo model's graph and validate the "
-                             "BENCH_graph_plan.json it emits")
+                             "when given, run it as a gate stage")
     parser.add_argument("--serve-bench", metavar="BIN", default=None,
                         help="path to the built bench_serve_chaos binary; "
                              "when given, run it at tiny scale under an "
@@ -141,11 +130,6 @@ def main():
 
     if args.graph_audit:
         run([args.graph_audit], "graph audit (model zoo)")
-
-    if args.graph_plan:
-        run([py, os.path.join(scripts, "check_bench_json.py"),
-             "--run", args.graph_plan],
-            "graph plan (zoo planned + statically verified, JSON validated)")
 
     if args.serve_bench:
         run([py, os.path.join(scripts, "check_bench_json.py"),

@@ -1,10 +1,12 @@
 #include "analyze/model_audits.h"
 
 #include <memory>
+#include <sstream>
 
 #include "analyze/graph_dump.h"
 #include "models/neural_model.h"
 #include "obs/trace.h"
+#include "prof/op_profiler.h"
 #include "train/model_zoo.h"
 #include "util/env.h"
 #include "util/fs_util.h"
@@ -31,6 +33,10 @@ Example AuditExample() {
 
 constexpr int64_t kAuditVocabItems = 12;
 constexpr int64_t kAuditVocabOperations = 4;
+
+/// Upper bound on measured peak / recorded_bytes; rationale in DESIGN.md
+/// §12 and EXPERIMENTS.md "Recorded-vs-measured peak memory".
+constexpr double kMeasuredPeakTolerance = 1.5;
 
 /// EmbsrModel registers every component unconditionally (stable checkpoint
 /// layout and parameter count across the ablation grid — see
@@ -198,11 +204,30 @@ ModelAuditOutcome RunModelAudit(const ModelAuditSpec& spec) {
   neural->ZeroGrad();
 
   const Example ex = AuditExample();
+  // Bracket exactly the forward+backward in a fresh prof session so the
+  // measured peak is the graph's transient footprint. Start() is a reset,
+  // so an already-active session (EMBSR_PROF=1 runs) is restarted rather
+  // than corrupted; it is left running, with cleared stats, afterwards.
+  const bool outer_session = prof::Enabled();
+  prof::Start();
+  const int64_t live0 = prof::MemSnapshot().live_bytes;
   ag::Tape tape;
   ag::Variable loss = neural->LossOn(ex);
   loss.Backward();
+  const int64_t measured = prof::MemSnapshot().peak_bytes - live0;
+  if (!outer_session) prof::Stop();
+
   outcome.report =
       AuditTape(loss, neural->NamedParameters(), tape, spec.options);
+  const int64_t recorded = outcome.report.stats.recorded_bytes;
+  if (measured < recorded ||
+      static_cast<double>(measured) >
+          static_cast<double>(recorded) * kMeasuredPeakTolerance) {
+    std::ostringstream msg;
+    msg << "measured peak " << measured << " B is outside [recorded "
+        << recorded << " B, " << kMeasuredPeakTolerance << "x recorded]";
+    outcome.report.failures.push_back(msg.str());
+  }
   ExportTapeStats(outcome.report.stats);
 
   const std::string dump_dir = GetEnvString("EMBSR_GRAPH_DUMP_DIR", "");

@@ -32,10 +32,12 @@ struct ModelAuditOutcome {
   TapeAuditReport report;
 };
 
-/// Builds the model on the tiny audit vocabulary, records one eval-mode
+/// Builds the model on the tiny audit vocabulary and records one eval-mode
 /// forward/backward of LossOn on a fixed synthetic session under an
-/// ag::Tape, audits the graph against the spec, and exports stats through
-/// embsr::obs. When EMBSR_GRAPH_DUMP_DIR is set, also writes
+/// ag::Tape, inside a fresh prof session (restarting any active one). It
+/// audits the graph against the spec, fails the report unless
+/// recorded_bytes <= measured peak <= 1.5 x recorded_bytes, and exports
+/// stats through embsr::obs. When EMBSR_GRAPH_DUMP_DIR is set, also writes
 /// graph_<model>.dot and graph_<model>.json there.
 ModelAuditOutcome RunModelAudit(const ModelAuditSpec& spec);
 

@@ -155,6 +155,28 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
          ": recorded on the tape but unreachable from the loss");
   }
 
+  // Invariant 6 and the recorded bytes, over every node the graph holds:
+  // the tape's, then those built before it opened (parameters, cached
+  // constants), whose values were not allocated by this pass.
+  std::unordered_set<ag::Node*> on_tape;
+  std::vector<ag::Node*> nodes;
+  for (const auto& node : tape.nodes()) {
+    if (on_tape.insert(node.get()).second) nodes.push_back(node.get());
+  }
+  for (ag::Node* n : reachable_order) {
+    if (on_tape.count(n) == 0) nodes.push_back(n);
+  }
+  for (ag::Node* n : nodes) {
+    const int64_t bytes = n->value.size() * static_cast<int64_t>(sizeof(float));
+    if (on_tape.count(n) > 0) report.stats.recorded_bytes += bytes;
+    if (n->accum_count > 0) report.stats.recorded_bytes += bytes;
+    if (n->def == nullptr || n->parents.empty()) continue;
+    ++report.stats.shapes_checked;
+    if (std::string e = n->def->shape_rule(*n); !e.empty()) {
+      fail("shape rule: " + e);
+    }
+  }
+
   return report;
 }
 
@@ -164,7 +186,9 @@ std::string TapeAuditReport::ToString() const {
       << stats.reachable_nodes << "/" << stats.tape_nodes
       << " nodes reachable, " << stats.edges << " edges, " << stats.parameters
       << " parameters (" << stats.parameter_scalars << " scalars, "
-      << stats.dead_params_allowed << " allowed-dead)";
+      << stats.dead_params_allowed << " allowed-dead), "
+      << stats.shapes_checked << " shapes checked, " << stats.recorded_bytes
+      << " recorded bytes";
   for (const std::string& f : failures) out << "\n  - " << f;
   return out.str();
 }

@@ -45,6 +45,13 @@ namespace analyze {
 ///      gradients and corrupt optimizer state.
 ///   5. *Parameters are leaves.* A parameter produced by an op would be
 ///      re-created every forward pass and never actually train.
+///   6. *Shapes re-derive.* Every op node with recorded parents, on the tape
+///      or reachable from the loss, passes its OpDef::shape_rule. Ops over
+///      non-differentiable inputs record no parents, so their rule cannot
+///      run.
+///
+/// The audit also totals the graph's recorded bytes, which RunModelAudit
+/// compares with the memory profiler's measured peak.
 
 struct TapeAuditOptions {
   /// Exact Module::NamedParameters paths expected to receive no gradient.
@@ -63,6 +70,12 @@ struct TapeAuditStats {
   int64_t parameters = 0;       // registered named parameters
   int64_t parameter_scalars = 0;
   int64_t dead_params_allowed = 0;  // allowed-dead list entries that matched
+  int64_t shapes_checked = 0;       // op nodes whose shape rule ran
+  /// What a heap execution of the graph, which frees nothing until the
+  /// graph dies, holds at its high-water mark: the value of every tape
+  /// node, plus one gradient buffer for every node that accumulated one
+  /// (pre-tape parameters included).
+  int64_t recorded_bytes = 0;
   std::map<std::string, int64_t> op_histogram;  // reachable nodes per op
 };
 

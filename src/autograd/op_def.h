@@ -63,7 +63,7 @@ struct GradCheckDef {
 
 /// Everything the repo knows about one op apart from its forward and
 /// backward, which stay in the op function (their closures capture per-call
-/// attributes). A node points at its op's entry, so the graph planner, the
+/// attributes). A node points at its op's entry, so the tape auditor, the
 /// profiler and the gradcheck runner all read the same record.
 struct OpDef {
   OpId id;

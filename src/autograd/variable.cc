@@ -12,6 +12,36 @@
 namespace embsr {
 namespace ag {
 
+namespace {
+
+std::vector<Node*> BackwardPostOrder(const Variable& root) {
+  // Iterative post-order DFS over requires_grad parents: a reverse
+  // topological order. Backward() executes it back-to-front so each node's
+  // grad is complete before it propagates.
+  std::vector<Node*> order;
+  if (!root.defined()) return order;
+  std::unordered_set<Node*> visited;
+  std::vector<std::pair<Node*, size_t>> stack;
+  stack.emplace_back(root.node().get(), 0);
+  visited.insert(root.node().get());
+  while (!stack.empty()) {
+    auto& [cur, next_child] = stack.back();
+    if (next_child < cur->parents.size()) {
+      Node* child = cur->parents[next_child].get();
+      ++next_child;
+      if (child->requires_grad && visited.insert(child).second) {
+        stack.emplace_back(child, 0);
+      }
+    } else {
+      order.push_back(cur);
+      stack.pop_back();
+    }
+  }
+  return order;
+}
+
+}  // namespace
+
 void Node::AccumulateGrad(const Tensor& g) {
   EMBSR_CHECK(g.shape() == value.shape());
   if (!grad_ready) {
@@ -104,33 +134,6 @@ Variable Variable::FromNode(std::shared_ptr<Node> node) {
 }
 
 Variable Constant(Tensor value) { return Variable(std::move(value), false); }
-
-std::vector<Node*> BackwardPostOrder(const Variable& root) {
-  // Iterative post-order DFS over requires_grad parents: a reverse
-  // topological order. Backward() executes it back-to-front so each node's
-  // grad is complete before it propagates; the analyze planner replays the
-  // same sequence to model gradient liveness.
-  std::vector<Node*> order;
-  if (!root.defined()) return order;
-  std::unordered_set<Node*> visited;
-  std::vector<std::pair<Node*, size_t>> stack;
-  stack.emplace_back(root.node().get(), 0);
-  visited.insert(root.node().get());
-  while (!stack.empty()) {
-    auto& [cur, next_child] = stack.back();
-    if (next_child < cur->parents.size()) {
-      Node* child = cur->parents[next_child].get();
-      ++next_child;
-      if (child->requires_grad && visited.insert(child).second) {
-        stack.emplace_back(child, 0);
-      }
-    } else {
-      order.push_back(cur);
-      stack.pop_back();
-    }
-  }
-  return order;
-}
 
 }  // namespace ag
 }  // namespace embsr

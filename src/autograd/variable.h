@@ -90,13 +90,6 @@ class Variable {
 /// Makes a non-differentiable constant variable.
 Variable Constant(Tensor value);
 
-/// The post-order (children-first) node sequence Backward() builds over the
-/// requires_grad subgraph under `root` before executing backward functions
-/// back-to-front. Exposed so the static graph planner (src/analyze) mirrors
-/// the execution schedule exactly instead of re-deriving the traversal —
-/// the two cannot drift because Backward() itself runs this function.
-std::vector<Node*> BackwardPostOrder(const Variable& root);
-
 }  // namespace ag
 }  // namespace embsr
 

@@ -18,7 +18,7 @@ struct TrainConfig {
   /// Sessions per collated forward: Fit cuts each mini-batch into chunks of
   /// this many, and Evaluate scores chunks of this many. Eval scores are
   /// bitwise equal at any value; training at > 1 is equal within float
-  /// tolerance (DESIGN.md §16).
+  /// tolerance (DESIGN.md §15).
   int forward_batch = 1;
   float lr = 0.003f;
   /// Step decay: lr *= gamma every `lr_decay_step` epochs.

@@ -1,5 +1,8 @@
 #include "util/env.h"
 
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 
 namespace embsr {
@@ -9,7 +12,7 @@ double GetEnvDouble(const char* name, double fallback) {
   if (raw == nullptr || raw[0] == '\0') return fallback;
   char* end = nullptr;
   double v = std::strtod(raw, &end);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0' || !std::isfinite(v)) return fallback;
   return v;
 }
 
@@ -17,8 +20,12 @@ int GetEnvInt(const char* name, int fallback) {
   const char* raw = std::getenv(name);
   if (raw == nullptr || raw[0] == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   long v = std::strtol(raw, &end, 10);
-  if (end == raw) return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE || v < INT_MIN ||
+      v > INT_MAX) {
+    return fallback;
+  }
   return static_cast<int>(v);
 }
 

@@ -6,6 +6,8 @@
 namespace embsr {
 
 /// Returns the environment variable's value, or `fallback` if unset/invalid.
+/// A value is invalid when anything follows the number, when an int does
+/// not fit in `int`, or when a double is not finite.
 double GetEnvDouble(const char* name, double fallback);
 int GetEnvInt(const char* name, int fallback);
 std::string GetEnvString(const char* name, const std::string& fallback);

@@ -15,7 +15,8 @@
 //     bitwise (EXPERIMENTS.md "Batch equivalence tolerances").
 //  3. Ragged-edge fuzz: batches mixing length-1 / max-length / identical
 //     sessions; padded steps contribute nothing to loss, gradients, or
-//     live_bytes; AuditTape passes for every zoo model's batched graph.
+//     live_bytes; AuditTape, shape rules included, passes for every zoo
+//     model's batched graph.
 //
 // Suite name BatchEquiv is load-bearing: scripts/run_sanitized_tests.sh
 // re-runs `ctest -R '^BatchEquiv'` under EMBSR_THREADS=4, and
@@ -505,8 +506,8 @@ TEST(BatchEquiv, BatchedGraphsReturnLiveBytesToBaseline) {
 // Every zoo model's *batched* loss graph passes its registered tape audit
 // on a ragged 3-session batch: all parameters reach the loss (modulo each
 // variant's documented dead-parameter allowances), accumulation counts
-// match fan-out, no orphaned ops — the same structural bar the per-session
-// graphs clear in graph_audit_test.cc.
+// match fan-out, no orphaned ops, every op node passes its shape rule — the
+// same structural bar the per-session graphs clear in graph_audit_test.cc.
 TEST(BatchEquiv, BatchedGraphPassesTapeAuditAcrossZoo) {
   // Audit vocabulary (12 items / 4 operations) with a ragged trio:
   // 3-item / 1-item / 5-item micro-behavior sessions.
@@ -554,6 +555,7 @@ TEST(BatchEquiv, BatchedGraphPassesTapeAuditAcrossZoo) {
         AuditTape(loss, neural->NamedParameters(), tape, spec.options);
     EXPECT_TRUE(report.ok()) << spec.model << ": " << report.ToString();
     EXPECT_GT(report.stats.reachable_nodes, 0);
+    EXPECT_GT(report.stats.shapes_checked, 0);
   }
   EXPECT_GE(neural_audited, 13);
 }

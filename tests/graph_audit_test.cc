@@ -3,13 +3,16 @@
 // Three layers of enforcement, mirroring gradcheck_test.cc:
 //  1. Every registered model audit passes: all trainable parameters reach
 //     the loss, accumulation counts match graph fan-out, no orphaned ops,
-//     no aliased parameters.
+//     no aliased parameters, every op node passes its shape rule, and the
+//     memory profiler's measured peak lies between the graph's recorded
+//     bytes and 1.5x that.
 //  2. Coverage: every zoo model (ZooModelNames) has a registered audit in
 //     src/analyze/model_audits.cc, and no audit names a model the zoo no
 //     longer builds, so an unaudited new model fails here, not in review.
 //  3. Seeded mutants: a deliberately miswired model (disconnected
 //     embedding, double-accumulating backward, dropped op output, aliased
-//     parameter) must be *detected* — the auditor's alarm actually rings.
+//     parameter, wrong-shaped op output) must be *detected* — the auditor's
+//     alarm actually rings.
 
 #include <algorithm>
 #include <memory>
@@ -43,6 +46,8 @@ TEST(GraphAudit, EveryZooModelPassesItsTapeAudit) {
         << spec.model << ": " << outcome.report.ToString();
     EXPECT_GT(outcome.report.stats.reachable_nodes, 0) << spec.model;
     EXPECT_GT(outcome.report.stats.parameters, 0) << spec.model;
+    EXPECT_GT(outcome.report.stats.shapes_checked, 0) << spec.model;
+    EXPECT_GT(outcome.report.stats.recorded_bytes, 0) << spec.model;
   }
   // The paper's Table 3 zoo: 13+ gradient-trained models must be audited.
   EXPECT_GE(neural_audited, 13);
@@ -141,9 +146,12 @@ TEST(GraphAudit, DetectsDisconnectedEmbedding) {
 TEST(GraphAudit, DetectsDoubleAccumulation) {
   ag::Tape tape;
   ag::Variable x(Tensor::Full({2, 2}, 1.0f), /*requires_grad=*/true);
-  // A test-local table entry; the auditor reads only its name.
-  static const ag::OpDef kBuggyOp{ag::OpId::kCount, "BuggyOp", nullptr,
-                                  nullptr, {nullptr, nullptr}};
+  // A test-local table entry; the auditor reads its name and runs its
+  // shape rule, which accepts any shape.
+  static const ag::OpDef kBuggyOp{
+      ag::OpId::kCount, "BuggyOp",
+      [](const ag::Node&) { return std::string(); }, nullptr,
+      {nullptr, nullptr}};
   // Hand-built op whose backward accumulates into its parent twice — the
   // kind of bug a refactored backward_fn can introduce silently, since the
   // doubled gradient still has the right shape.
@@ -206,6 +214,23 @@ TEST(GraphAudit, DetectsAliasedParameters) {
       << report.ToString();
 }
 
+TEST(GraphAudit, DetectsShapeRuleViolation) {
+  ag::Tape tape;
+  ag::Variable x(Tensor::Full({2, 3}, 0.5f), /*requires_grad=*/true);
+  ag::Variable y = ag::Mul(x, x);
+  ag::Variable loss = ag::SumAll(y);
+  loss.Backward();
+  ASSERT_TRUE(AuditTape(loss, {{"x", x}}, tape).ok());
+
+  // Corrupt the recorded output in place: [2,3] * [2,3] -> [2,2] is the
+  // inconsistency class the shape rules exist to catch.
+  y.node()->value = Tensor::Zeros({2, 2});
+  const TapeAuditReport report = AuditTape(loss, {{"x", x}}, tape);
+  ASSERT_EQ(report.failures.size(), 1u) << report.ToString();
+  EXPECT_NE(report.failures[0].find("op 'Mul'"), std::string::npos)
+      << report.ToString();
+}
+
 // ---- Clean graphs, stats and dumps ----------------------------------------
 
 TEST(GraphAudit, CleanGraphAuditsCleanWithExactStats) {
@@ -226,6 +251,23 @@ TEST(GraphAudit, CleanGraphAuditsCleanWithExactStats) {
   EXPECT_EQ(report.stats.parameter_scalars, 6);
   EXPECT_EQ(report.stats.op_histogram.at("Mul"), 1);
   EXPECT_EQ(report.stats.op_histogram.at("leaf"), 1);
+  EXPECT_EQ(report.stats.shapes_checked, 3);  // Mul, Tanh, SumAll
+  // Three [2,3] values and the scalar loss, each with its gradient.
+  EXPECT_EQ(report.stats.recorded_bytes, 152);
+}
+
+TEST(GraphAudit, PreTapeParameterRecordsOnlyItsGradient) {
+  ag::Variable w(Tensor::Full({2, 3}, 0.5f), /*requires_grad=*/true);
+  ag::Tape tape;  // opened after w, as a model's parameters are
+  ag::Variable loss = ag::SumAll(ag::Mul(w, w));
+  loss.Backward();
+
+  const TapeAuditReport report = AuditTape(loss, {{"w", w}}, tape);
+  EXPECT_TRUE(report.ok()) << report.ToString();
+  EXPECT_EQ(report.stats.tape_nodes, 2);  // Mul, SumAll
+  // Mul's [2,3] value and the scalar loss, each with its gradient, plus
+  // w's gradient; w's value was allocated before the pass.
+  EXPECT_EQ(report.stats.recorded_bytes, 80);
 }
 
 TEST(GraphAudit, SharedSubexpressionFanOutCounted) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 
 #include "util/check.h"
@@ -180,6 +181,37 @@ TEST(EnvTest, ParsesSetValues) {
   EXPECT_DOUBLE_EQ(GetEnvDouble("EMBSR_TEST_ENV_X", 1.0), 3.5);
   setenv("EMBSR_TEST_ENV_X", "42", 1);
   EXPECT_EQ(GetEnvInt("EMBSR_TEST_ENV_X", 0), 42);
+  unsetenv("EMBSR_TEST_ENV_X");
+}
+
+TEST(EnvTest, FallsBackOnTrailingCharacters) {
+  for (const char* raw : {"4x", "1e3", "4 "}) {
+    setenv("EMBSR_TEST_ENV_X", raw, 1);
+    EXPECT_EQ(GetEnvInt("EMBSR_TEST_ENV_X", 7), 7) << raw;
+  }
+  setenv("EMBSR_TEST_ENV_X", "0.5x", 1);
+  EXPECT_DOUBLE_EQ(GetEnvDouble("EMBSR_TEST_ENV_X", 2.5), 2.5);
+  unsetenv("EMBSR_TEST_ENV_X");
+}
+
+TEST(EnvTest, FallsBackOnIntOutOfRange) {
+  for (const char* raw :
+       {"3000000000", "-3000000000", "99999999999999999999"}) {
+    setenv("EMBSR_TEST_ENV_X", raw, 1);
+    EXPECT_EQ(GetEnvInt("EMBSR_TEST_ENV_X", 7), 7) << raw;
+  }
+  setenv("EMBSR_TEST_ENV_X", "-2147483648", 1);
+  EXPECT_EQ(GetEnvInt("EMBSR_TEST_ENV_X", 7), INT_MIN);
+  unsetenv("EMBSR_TEST_ENV_X");
+}
+
+TEST(EnvTest, FallsBackOnNonFiniteDouble) {
+  for (const char* raw : {"nan", "inf", "-inf", "1e999"}) {
+    setenv("EMBSR_TEST_ENV_X", raw, 1);
+    EXPECT_DOUBLE_EQ(GetEnvDouble("EMBSR_TEST_ENV_X", 2.5), 2.5) << raw;
+  }
+  setenv("EMBSR_TEST_ENV_X", "1e3", 1);
+  EXPECT_DOUBLE_EQ(GetEnvDouble("EMBSR_TEST_ENV_X", 2.5), 1000.0);
   unsetenv("EMBSR_TEST_ENV_X");
 }
 
