@@ -16,7 +16,9 @@ Usage:
   check_bench_json.py FILE [FILE ...]      validate existing report files
   check_bench_json.py --run BIN [ARG ...]  run a bench binary in a fresh
                                            temp dir, then validate every
-                                           BENCH_*.json it produced
+                                           BENCH_*.json it produced; if
+                                           the binary exits non-zero, its
+                                           stdout goes to stderr
   check_bench_json.py --self-test          prove the validator still rejects
                                            seeded schema violations (the
                                            'threads' rules and both
@@ -305,8 +307,12 @@ def run_and_collect(argv):
     with tempfile.TemporaryDirectory(prefix="embsr_bench_json_") as tmp:
         env = dict(os.environ, EMBSR_BENCH_JSON_DIR=tmp)
         proc = subprocess.run([binary] + argv[1:], env=env, cwd=tmp,
-                              stdout=subprocess.DEVNULL)
+                              stdout=subprocess.PIPE, text=True,
+                              errors="replace")
         if proc.returncode != 0:
+            # The binary's own output names what failed (for a gtest
+            # binary, the failing test and its numbers).
+            sys.stderr.write(proc.stdout)
             print(f"{binary}: exited with {proc.returncode}", file=sys.stderr)
             return 1
         reports = sorted(glob.glob(os.path.join(tmp, "BENCH_*.json")))
