@@ -5,10 +5,10 @@
 // core must absorb every phase — overload sheds, faults degrade, nothing
 // crashes and nothing exceeds its latency budget silently.
 //
-// Knobs: the EMBSR_SERVE_* family (see serve/frontend.h) plus
-// EMBSR_BENCH_SCALE for traffic volume. Arming EMBSR_FAILPOINTS adds
-// *external* chaos on top of the phases scripted here (the sanitizer
-// matrix's chaos leg does exactly that).
+// Knobs: EMBSR_BENCH_SCALE for traffic volume. The frontend runs a default
+// ServeConfig (serve/frontend.h) with a 64-slot queue. Arming
+// EMBSR_FAILPOINTS adds *external* chaos on top of the phases scripted here
+// (the sanitizer matrix's chaos leg does exactly that).
 
 #include <algorithm>
 #include <cstdio>
@@ -63,8 +63,8 @@ int main() {
   serve::PopularityScorer fallback;
   EMBSR_CHECK_OK(fallback.Fit(data));
 
-  serve::ServeConfig cfg = serve::ServeConfig::FromEnv();
-  cfg.queue_capacity = std::min<size_t>(cfg.queue_capacity, 64);
+  serve::ServeConfig cfg;
+  cfg.queue_capacity = 64;
   serve::ServeFrontend frontend(cfg, primary.get(), &fallback);
 
   // Micro-behavior streams to replay, rebuilt from the processed test split

@@ -13,11 +13,6 @@ Aggregates the pure-script checks that need no build products:
      fine — the bench JSON contract is then exercised by the
      bench_json_schema test instead, which runs a real bench binary.
 
-With --graph-audit BIN (CMake passes the built graph_audit_test), also runs
-the autograd-graph auditor over the whole model zoo, so the gate covers
-graph wiring, op shape rules and the recorded-vs-measured peak memory
-bracket as well as source hygiene.
-
 With EMBSR_REQUIRE_TIDY=1 in the environment, clang-tidy becomes a *hard*
 stage: the binary must exist and .clang-tidy must parse (clang-tidy
 --verify-config). Without the variable the stage is skipped with a notice,
@@ -28,13 +23,6 @@ runs the serving chaos driver at tiny scale under an EMBSR_FAILPOINTS spec
 (injected scorer/store failures and forced sheds on top of the bench's own
 fault phases) and validates the BENCH_serve_chaos.json sidecar it writes —
 the gate's proof that the serving core survives chaos end to end.
-
-With --batch-equiv BIN (CMake passes the built batch_equiv_test), also
-runs the batched-execution equivalence suite — forward batch {1,4,16}
-memcmp across the neural zoo, forward_batch-{4,16} tolerance training,
-ragged-edge masks, batched tape audits across the zoo — as a gate stage.
-Every test sets TrainConfig::forward_batch itself, so no environment
-variable steers it.
 
 Exits non-zero on the first failing stage. Stdlib only.
 """
@@ -75,18 +63,11 @@ def main():
     parser.add_argument("--repo-root",
                         default=os.path.dirname(
                             os.path.dirname(os.path.abspath(__file__))))
-    parser.add_argument("--graph-audit", metavar="BIN", default=None,
-                        help="path to the built graph_audit_test binary; "
-                             "when given, run it as a gate stage")
     parser.add_argument("--serve-bench", metavar="BIN", default=None,
                         help="path to the built bench_serve_chaos binary; "
                              "when given, run it at tiny scale under an "
                              "EMBSR_FAILPOINTS chaos spec and validate the "
                              "BENCH_serve_chaos.json it emits")
-    parser.add_argument("--batch-equiv", metavar="BIN", default=None,
-                        help="path to the built batch_equiv_test binary; "
-                             "when given, run the batched-execution "
-                             "equivalence suite as a gate stage")
     args = parser.parse_args()
     root = os.path.abspath(args.repo_root)
     scripts = os.path.join(root, "scripts")
@@ -128,18 +109,11 @@ def main():
         print("verify_gate: clang-tidy not required "
               "(set EMBSR_REQUIRE_TIDY=1 to make it a hard stage)")
 
-    if args.graph_audit:
-        run([args.graph_audit], "graph audit (model zoo)")
-
     if args.serve_bench:
         run([py, os.path.join(scripts, "check_bench_json.py"),
              "--run", args.serve_bench],
             "serve chaos bench (faults injected, JSON validated)",
             extra_env=SERVE_CHAOS_ENV)
-
-    if args.batch_equiv:
-        run([args.batch_equiv],
-            "batch equivalence (forward batch 1 vs 4 and 16)")
 
     print("verify_gate: OK")
     return 0

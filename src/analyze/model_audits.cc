@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "analyze/graph_dump.h"
+#include "data/preprocess.h"
 #include "models/neural_model.h"
 #include "obs/trace.h"
 #include "prof/op_profiler.h"
@@ -18,15 +19,11 @@ namespace analyze {
 namespace {
 
 /// Tiny fixed session for the audit forward pass — same shape as the
-/// gradcheck harness's tiny example (micro-behavior session of 3 macro
-/// items with parallel operations), chosen so every model path (GNN on the
-/// item graph, op encoding, attention over positions) has real work to do.
+/// gradcheck harness's tiny example (five micro-behaviors merging into 3
+/// macro items), chosen so every model path (GNN on the item graph, op
+/// encoding, attention over positions) has real work to do.
 Example AuditExample() {
-  Example ex;
-  ex.macro_items = {3, 7, 5};
-  ex.macro_ops = {{1}, {0, 2}, {1, 3}};
-  ex.flat_items = {3, 7, 7, 5, 5};
-  ex.flat_ops = {1, 0, 2, 1, 3};
+  Example ex = ExampleFromEvents({3, 7, 7, 5, 5}, {1, 0, 2, 1, 3});
   ex.target = 9;
   return ex;
 }

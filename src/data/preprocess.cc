@@ -21,15 +21,43 @@ int64_t ProcessedDataset::TotalMicroBehaviors() const {
 void MergeSuccessive(const std::vector<MicroBehavior>& events,
                      std::vector<int64_t>* macro_items,
                      std::vector<std::vector<int64_t>>* macro_ops) {
-  macro_items->clear();
-  macro_ops->clear();
+  std::vector<int64_t> items;
+  std::vector<int64_t> ops;
+  items.reserve(events.size());
+  ops.reserve(events.size());
   for (const auto& e : events) {
-    if (macro_items->empty() || macro_items->back() != e.item) {
-      macro_items->push_back(e.item);
-      macro_ops->emplace_back();
-    }
-    macro_ops->back().push_back(e.operation);
+    items.push_back(e.item);
+    ops.push_back(e.operation);
   }
+  Example ex = ExampleFromEvents(std::move(items), std::move(ops));
+  *macro_items = std::move(ex.macro_items);
+  *macro_ops = std::move(ex.macro_ops);
+}
+
+Example ExampleFromEvents(std::vector<int64_t> flat_items,
+                          std::vector<int64_t> flat_ops) {
+  EMBSR_CHECK_EQ(flat_items.size(), flat_ops.size());
+  const size_t n = flat_items.size();
+  // The merge rule of Sec. II-B: each maximal run of successive same-item
+  // events becomes one macro item carrying the run's operations.
+  size_t runs = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || flat_items[i] != flat_items[i - 1]) ++runs;
+  }
+  Example ex;
+  ex.macro_items.reserve(runs);
+  ex.macro_ops.reserve(runs);
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && flat_items[end] == flat_items[begin]) ++end;
+    ex.macro_items.push_back(flat_items[begin]);
+    ex.macro_ops.emplace_back(flat_ops.begin() + static_cast<ptrdiff_t>(begin),
+                              flat_ops.begin() + static_cast<ptrdiff_t>(end));
+    begin = end;
+  }
+  ex.flat_items = std::move(flat_items);
+  ex.flat_ops = std::move(flat_ops);
+  return ex;
 }
 
 namespace {
@@ -39,41 +67,30 @@ namespace {
 /// operation restriction).
 bool BuildExample(const std::vector<MicroBehavior>& events,
                   int64_t restrict_op, Example* out) {
-  std::vector<int64_t> macro_items;
-  std::vector<std::vector<int64_t>> macro_ops;
-  MergeSuccessive(events, &macro_items, &macro_ops);
-  if (macro_items.size() < 2) return false;
-
-  const int64_t target = macro_items.back();
+  if (events.empty()) return false;
+  const int64_t target = events.back().item;
 
   // Find where the trailing run of the target item starts; events before it
   // form the model input (Sec. II-B: predicting the next *macro* item, so
-  // the target's own micro-behaviors are withheld).
+  // the target's own micro-behaviors are withheld). No events before it
+  // means a single macro item.
   size_t input_end = events.size();
   while (input_end > 0 && events[input_end - 1].item == target) --input_end;
-  EMBSR_CHECK_GT(input_end, 0u);
+  if (input_end == 0) return false;
 
-  std::vector<MicroBehavior> input_events(events.begin(),
-                                          events.begin() + input_end);
-  if (restrict_op >= 0) {
-    std::vector<MicroBehavior> kept;
-    for (const auto& e : input_events) {
-      if (e.operation == restrict_op) kept.push_back(e);
-    }
-    input_events = std::move(kept);
-    if (input_events.empty()) return false;
+  std::vector<int64_t> flat_items;
+  std::vector<int64_t> flat_ops;
+  flat_items.reserve(input_end);
+  flat_ops.reserve(input_end);
+  for (size_t i = 0; i < input_end; ++i) {
+    if (restrict_op >= 0 && events[i].operation != restrict_op) continue;
+    flat_items.push_back(events[i].item);
+    flat_ops.push_back(events[i].operation);
   }
+  if (flat_items.empty()) return false;
 
+  *out = ExampleFromEvents(std::move(flat_items), std::move(flat_ops));
   out->target = target;
-  MergeSuccessive(input_events, &out->macro_items, &out->macro_ops);
-  out->flat_items.clear();
-  out->flat_ops.clear();
-  out->flat_items.reserve(input_events.size());
-  out->flat_ops.reserve(input_events.size());
-  for (const auto& e : input_events) {
-    out->flat_items.push_back(e.item);
-    out->flat_ops.push_back(e.operation);
-  }
   return true;
 }
 
@@ -98,7 +115,8 @@ Result<ProcessedDataset> Preprocess(const std::vector<Session>& sessions,
   }
 
   // 2. Drop low-support items; truncate long sessions to their most recent
-  //    events; keep sessions that still have at least two macro items.
+  //    events; keep sessions that still have at least two macro items, i.e.
+  //    whose events are not all on one item.
   std::vector<std::vector<MicroBehavior>> cleaned;
   cleaned.reserve(sessions.size());
   for (const auto& s : sessions) {
@@ -112,10 +130,11 @@ Result<ProcessedDataset> Preprocess(const std::vector<Session>& sessions,
       events.erase(events.begin(),
                    events.end() - config.max_session_events);
     }
-    std::vector<int64_t> mi;
-    std::vector<std::vector<int64_t>> mo;
-    MergeSuccessive(events, &mi, &mo);
-    if (mi.size() < 2) continue;  // single-item sessions are excluded
+    const bool two_items =
+        std::any_of(events.begin(), events.end(), [&](const MicroBehavior& e) {
+          return e.item != events.front().item;
+        });
+    if (!two_items) continue;  // single-item sessions are excluded
     cleaned.push_back(std::move(events));
   }
   if (cleaned.size() < 10) {

@@ -46,10 +46,19 @@ Result<ProcessedDataset> Preprocess(const std::vector<Session>& sessions,
                                     const std::string& name);
 
 /// Merges successive same-item events: returns macro items and their
-/// per-item operation runs. Exposed for tests and the graph builder.
+/// per-item operation runs (the macro half of ExampleFromEvents).
 void MergeSuccessive(const std::vector<MicroBehavior>& events,
                      std::vector<int64_t>* macro_items,
                      std::vector<std::vector<int64_t>>* macro_ops);
+
+/// Builds a model input from a flat micro-behavior run, given as parallel
+/// item and operation columns of equal length: the run itself becomes
+/// `flat_items`/`flat_ops`, and each maximal run of successive same-item
+/// events one macro item with its operations (Sec. II-B). `target` is left
+/// 0. Preprocessing and the serving session store both build their
+/// Examples here.
+Example ExampleFromEvents(std::vector<int64_t> flat_items,
+                          std::vector<int64_t> flat_ops);
 
 /// Mini-batch index iterator: shuffles [0, n) and yields chunks.
 class BatchIterator {

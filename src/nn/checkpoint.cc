@@ -94,6 +94,12 @@ Status ReadTensorInto(ByteReader* r, Tensor* dst, const char* what) {
     }
     elems *= d;
   }
+  if (static_cast<uint64_t>(elems) * sizeof(float) > r->remaining()) {
+    return Status::InvalidArgument(
+        std::string("corrupt checkpoint: ") + what + " of " +
+        std::to_string(elems) + " floats overruns the file at offset " +
+        std::to_string(r->offset()));
+  }
   Tensor t(shape);
   s = r->Read(t.data(), sizeof(float) * static_cast<size_t>(t.size()), what);
   if (!s.ok()) return s;
@@ -121,6 +127,19 @@ Status ReadTensorMatching(ByteReader* r, Tensor* dst, const std::string& name) {
   }
   return r->Read(dst->data(), sizeof(float) * static_cast<size_t>(dst->size()),
                  "tensor data");
+}
+
+/// A tensor list of `count` entries needs at least a rank word per entry;
+/// a count the rest of the file cannot hold is rejected before the list is
+/// allocated.
+Status CheckTensorCount(const ByteReader& r, uint32_t count,
+                        const char* what) {
+  if (static_cast<uint64_t>(count) * sizeof(uint32_t) > r.remaining()) {
+    return Status::InvalidArgument(
+        std::string("corrupt checkpoint: implausible ") + what + " " +
+        std::to_string(count) + " at offset " + std::to_string(r.offset()));
+  }
+  return Status::OK();
 }
 
 Status ReadRngState(ByteReader* r, RngState* rng) {
@@ -157,6 +176,8 @@ Status ReadTrainState(ByteReader* r, TrainState* st) {
   uint32_t best_count = 0;
   s = r->ReadPod(&best_count, "best-params count");
   if (!s.ok()) return s;
+  s = CheckTensorCount(*r, best_count, "best-params count");
+  if (!s.ok()) return s;
   // lint: allow(raw-resize): count-prefixed deserialization buffer
   st->best_params.resize(best_count);
   for (auto& t : st->best_params) {
@@ -187,6 +208,8 @@ Status ReadTrainState(ByteReader* r, TrainState* st) {
         "corrupt checkpoint: implausible optimizer slot count at offset " +
         std::to_string(r->offset()));
   }
+  s = CheckTensorCount(*r, slot_count, "optimizer slot count");
+  if (!s.ok()) return s;
   // lint: allow(raw-resize): count-prefixed deserialization buffer
   st->opt_slots.resize(slot_count);
   for (auto& t : st->opt_slots) {

@@ -1,12 +1,10 @@
 #include "serve/frontend.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "metrics/metrics.h"
 #include "obs/metrics.h"
 #include "robust/failpoint.h"
-#include "util/env.h"
 #include "util/rng.h"
 
 namespace embsr {
@@ -15,23 +13,6 @@ namespace serve {
 namespace {
 constexpr int64_t kNsPerMs = 1000000;
 }  // namespace
-
-ServeConfig ServeConfig::FromEnv() {
-  ServeConfig cfg;
-  cfg.deadline_ms = std::max(1, GetEnvInt("EMBSR_SERVE_DEADLINE_MS", 50));
-  cfg.queue_capacity =
-      static_cast<size_t>(std::max(1, GetEnvInt("EMBSR_SERVE_QUEUE_CAP", 256)));
-  cfg.max_retries = std::max(0, GetEnvInt("EMBSR_SERVE_RETRIES", 3));
-  cfg.backoff_base_ms = std::max(0, GetEnvInt("EMBSR_SERVE_BACKOFF_MS", 2));
-  cfg.breaker_strikes =
-      std::max(1, GetEnvInt("EMBSR_SERVE_BREAKER_STRIKES", 5));
-  cfg.breaker_cooldown_ms =
-      std::max(0, GetEnvInt("EMBSR_SERVE_BREAKER_COOLDOWN_MS", 250));
-  cfg.top_k = static_cast<size_t>(std::max(1, GetEnvInt("EMBSR_SERVE_TOP_K", 20)));
-  cfg.seed = static_cast<uint64_t>(std::max(0, GetEnvInt("EMBSR_SERVE_SEED", 7)));
-  cfg.store = SessionStoreConfig::FromEnv();
-  return cfg;
-}
 
 ServeFrontend::ServeFrontend(ServeConfig config, Recommender* primary,
                              PopularityScorer* fallback, ServeClock clock)
@@ -47,9 +28,24 @@ Status ServeFrontend::Submit(const Request& req) {
   static obs::Counter* submitted =
       obs::Registry::Global().GetCounter("serve/requests");
   static obs::Counter* shed = obs::Registry::Global().GetCounter("serve/shed");
+  static obs::Counter* rejected =
+      obs::Registry::Global().GetCounter("serve/rejected_invalid");
   static obs::Gauge* depth =
       obs::Registry::Global().GetGauge("serve/queue_depth");
   submitted->Increment();
+  // An id outside the fallback's training vocabulary would index past the
+  // models' embedding tables; refuse it before it reaches the store.
+  const MicroBehavior& ev = req.event;
+  if (ev.item < 0 || ev.item >= fallback_->num_items() || ev.operation < 0 ||
+      ev.operation >= fallback_->num_operations()) {
+    rejected->Increment();
+    return Status::InvalidArgument(
+        "request " + std::to_string(req.request_id) + ": event (item " +
+        std::to_string(ev.item) + ", operation " +
+        std::to_string(ev.operation) + ") is outside the vocabulary of " +
+        std::to_string(fallback_->num_items()) + " items and " +
+        std::to_string(fallback_->num_operations()) + " operations");
+  }
   if (queue_.size() >= config_.queue_capacity ||
       robust::Failpoints::Global().ShouldFail("serve.queue_full")) {
     shed->Increment();

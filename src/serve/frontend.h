@@ -16,28 +16,25 @@
 namespace embsr {
 namespace serve {
 
-/// Serving knobs, read from the environment by FromEnv:
-///
-///   EMBSR_SERVE_DEADLINE_MS          per-request latency budget (50)
-///   EMBSR_SERVE_QUEUE_CAP            admission queue capacity (256)
-///   EMBSR_SERVE_RETRIES              max retries of a transient failure (3)
-///   EMBSR_SERVE_BACKOFF_MS           base retry backoff, doubles/try (2)
-///   EMBSR_SERVE_BREAKER_STRIKES      consecutive scorer failures to open (5)
-///   EMBSR_SERVE_BREAKER_COOLDOWN_MS  open→half-open cooldown (250)
-///   EMBSR_SERVE_TOP_K                recommendations per response (20)
-///   EMBSR_SERVE_SEED                 backoff-jitter seed (7)
+/// Serving settings. Callers fill the fields in code.
 struct ServeConfig {
+  /// Per-request latency budget, queued time included.
   int64_t deadline_ms = 50;
+  /// Admission queue capacity; beyond it, Submit sheds.
   size_t queue_capacity = 256;
+  /// Max retries of a transient store or scorer failure.
   int max_retries = 3;
+  /// Base retry backoff; doubles per try, jittered.
   int64_t backoff_base_ms = 2;
+  /// Consecutive scorer failures that open the breaker.
   int breaker_strikes = 5;
+  /// Open → half-open cooldown.
   int64_t breaker_cooldown_ms = 250;
+  /// Recommendations per response.
   size_t top_k = 20;
+  /// Backoff-jitter seed.
   uint64_t seed = 7;
   SessionStoreConfig store;
-
-  static ServeConfig FromEnv();
 };
 
 /// One scoring request: apply `event` to `session_id`'s live state, then
@@ -105,8 +102,11 @@ class ServeFrontend {
   ServeFrontend(ServeConfig config, Recommender* primary,
                 PopularityScorer* fallback, ServeClock clock = RealClock());
 
-  /// Admission control. OK = queued; kResourceExhausted = shed (queue at
-  /// capacity or injected "serve.queue_full").
+  /// Admission control. OK = queued; kInvalidArgument = the event's item
+  /// or operation lies outside the vocabulary the fallback was fitted on
+  /// (counted in `serve/rejected_invalid`; queue and store untouched);
+  /// kResourceExhausted = shed (queue at capacity or injected
+  /// "serve.queue_full").
   [[nodiscard]] Status Submit(const Request& req);
 
   /// Runs the pipeline for the oldest queued request. NotFound when the

@@ -35,6 +35,7 @@ Status PopularityScorer::Fit(const ProcessedDataset& data) {
   }
   const int64_t max_count =
       counts.empty() ? 0 : *std::max_element(counts.begin(), counts.end());
+  num_operations_ = data.num_operations;
   popularity_.assign(counts.size(), 0.0f);
   if (max_count > 0) {
     for (size_t i = 0; i < counts.size(); ++i) {

@@ -26,7 +26,8 @@ class PopularityScorer final : public Recommender {
  public:
   std::string name() const override { return "serve-popularity"; }
 
-  /// Counts item occurrences (inputs and targets) over `data.train`.
+  /// Counts item occurrences (inputs and targets) over `data.train`, and
+  /// records the dataset's item and operation vocabulary sizes.
   Status Fit(const ProcessedDataset& data) override;
 
   /// Popularity prior + recency boost. Works on an *empty* session too
@@ -36,10 +37,12 @@ class PopularityScorer final : public Recommender {
 
   bool fitted() const { return !popularity_.empty(); }
   int64_t num_items() const { return static_cast<int64_t>(popularity_.size()); }
+  int64_t num_operations() const { return num_operations_; }
 
  private:
   /// popularity_[i] in [0, 1]: occurrence count normalized by the max.
   std::vector<float> popularity_;
+  int64_t num_operations_ = 0;
 };
 
 /// Circuit breaker states, exported via the `serve/breaker_state` gauge.

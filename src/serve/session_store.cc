@@ -1,13 +1,12 @@
 #include "serve/session_store.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
+#include "data/preprocess.h"
 #include "obs/metrics.h"
 #include "robust/failpoint.h"
 #include "util/crc32.h"
-#include "util/env.h"
 #include "util/fs_util.h"
 
 namespace embsr {
@@ -81,45 +80,28 @@ class ByteReader {
 
 }  // namespace
 
-SessionStoreConfig SessionStoreConfig::FromEnv() {
-  SessionStoreConfig cfg;
-  cfg.max_sessions = static_cast<size_t>(
-      std::max(1, GetEnvInt("EMBSR_SERVE_MAX_SESSIONS", 100000)));
-  cfg.max_events_per_session = static_cast<size_t>(
-      std::max(2, GetEnvInt("EMBSR_SERVE_MAX_EVENTS", 256)));
-  return cfg;
-}
-
 void SessionState::Append(const MicroBehavior& ev) {
-  if (macro_items.empty() || macro_items.back() != ev.item) {
-    macro_items.push_back(ev.item);
-    macro_ops.emplace_back();
-  }
-  macro_ops.back().push_back(ev.operation);
   flat_items.push_back(ev.item);
   flat_ops.push_back(ev.operation);
 }
 
 void SessionState::TrimToFlatCap(size_t max_flat_events) {
-  while (flat_items.size() > max_flat_events && macro_items.size() > 1) {
-    const size_t drop = macro_ops.front().size();
-    macro_items.erase(macro_items.begin());
-    macro_ops.erase(macro_ops.begin());
-    flat_items.erase(flat_items.begin(),
-                     flat_items.begin() + static_cast<ptrdiff_t>(drop));
-    flat_ops.erase(flat_ops.begin(),
-                   flat_ops.begin() + static_cast<ptrdiff_t>(drop));
+  size_t drop = 0;  // events before `drop` go: whole runs, never the last
+  while (flat_items.size() - drop > max_flat_events) {
+    size_t next = drop;
+    while (next < flat_items.size() && flat_items[next] == flat_items[drop]) {
+      ++next;
+    }
+    if (next == flat_items.size()) break;
+    drop = next;
   }
+  const auto cut = static_cast<ptrdiff_t>(drop);
+  flat_items.erase(flat_items.begin(), flat_items.begin() + cut);
+  flat_ops.erase(flat_ops.begin(), flat_ops.begin() + cut);
 }
 
 Example SessionState::ToExample() const {
-  Example ex;
-  ex.macro_items = macro_items;
-  ex.macro_ops = macro_ops;
-  ex.flat_items = flat_items;
-  ex.flat_ops = flat_ops;
-  ex.target = 0;  // unknown at serving time: the model predicts it
-  return ex;
+  return ExampleFromEvents(flat_items, flat_ops);
 }
 
 SessionStore::SessionStore(SessionStoreConfig config)
@@ -173,11 +155,12 @@ std::string SessionStore::Serialize() const {
   AppendPod(&out, kVersion);
   AppendPod(&out, static_cast<uint64_t>(sessions_.size()));
   for (const auto& [id, state] : sessions_) {
+    const Example ex = state.ToExample();
     AppendPod(&out, id);
-    AppendI64Vec(&out, state.macro_items);
-    for (const auto& ops : state.macro_ops) AppendI64Vec(&out, ops);
-    AppendI64Vec(&out, state.flat_items);
-    AppendI64Vec(&out, state.flat_ops);
+    AppendI64Vec(&out, ex.macro_items);
+    for (const auto& ops : ex.macro_ops) AppendI64Vec(&out, ops);
+    AppendI64Vec(&out, ex.flat_items);
+    AppendI64Vec(&out, ex.flat_ops);
   }
   const uint32_t crc = Crc32(out.data(), out.size());
   AppendPod(&out, crc);
@@ -239,20 +222,15 @@ Status SessionStore::LoadSnapshot(const std::string& path) {
     uint64_t id = 0;
     s = r.ReadPod(&id, "session id");
     if (!s.ok()) return s;
-    SessionState state;
-    s = r.ReadI64Vec(&state.macro_items, kMaxEventsPerSession, "macro items");
+    std::vector<int64_t> macro_items;
+    s = r.ReadI64Vec(&macro_items, kMaxEventsPerSession, "macro items");
     if (!s.ok()) return s;
-    // lint: allow(raw-resize): per-item op lists sized from wire count
-    state.macro_ops.resize(state.macro_items.size());
-    for (auto& ops : state.macro_ops) {
+    std::vector<std::vector<int64_t>> macro_ops(macro_items.size());
+    for (auto& ops : macro_ops) {
       s = r.ReadI64Vec(&ops, kMaxEventsPerSession, "macro ops");
       if (!s.ok()) return s;
-      if (ops.empty()) {
-        return Status::InvalidArgument(
-            "corrupt session snapshot: empty macro op list at offset " +
-            std::to_string(r.offset()));
-      }
     }
+    SessionState state;
     s = r.ReadI64Vec(&state.flat_items, kMaxEventsPerSession, "flat items");
     if (!s.ok()) return s;
     s = r.ReadI64Vec(&state.flat_ops, kMaxEventsPerSession, "flat ops");
@@ -261,6 +239,15 @@ Status SessionStore::LoadSnapshot(const std::string& path) {
       return Status::InvalidArgument(
           "corrupt session snapshot: flat items/ops length mismatch at "
           "offset " +
+          std::to_string(r.offset()));
+    }
+    // The macro sections are derived data: they must be exactly what the
+    // flat run rebuilds to, or the image is inconsistent.
+    const Example rebuilt = state.ToExample();
+    if (rebuilt.macro_items != macro_items || rebuilt.macro_ops != macro_ops) {
+      return Status::InvalidArgument(
+          "corrupt session snapshot: macro sections of session " +
+          std::to_string(id) + " differ from its flat run at offset " +
           std::to_string(r.offset()));
     }
     loaded.emplace(id, std::move(state));

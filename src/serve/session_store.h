@@ -12,19 +12,11 @@
 namespace embsr {
 namespace serve {
 
-/// One live session's incrementally-maintained model input.
-///
-/// This is the serving-side mirror of data/preprocess.cc's macro/micro
-/// merge: each arriving micro-behavior either extends the last macro item's
-/// operation sub-sequence (same item as the previous event) or opens a new
-/// macro item. The flat micro sequence feeding the self-attention models is
-/// kept in parallel. The point is MicroRec-style low memory traffic per
-/// request: appending one event is O(1) amortized — the session is never
-/// re-derived from its full event log at request time.
+/// One live session: its micro-behavior run, as parallel item and operation
+/// columns. The model input is built from the run on demand by
+/// ExampleFromEvents (data/preprocess.h), the same function preprocessing
+/// uses, so the store holds no second view of the session to keep in step.
 struct SessionState {
-  std::vector<int64_t> macro_items;
-  /// Parallel to macro_items; each inner vector is non-empty.
-  std::vector<std::vector<int64_t>> macro_ops;
   std::vector<int64_t> flat_items;
   std::vector<int64_t> flat_ops;
   /// Store-logical recency stamp for LRU eviction. Not serialized: snapshot
@@ -32,33 +24,25 @@ struct SessionState {
   /// round-trips bit-for-bit.
   uint64_t last_touch = 0;
 
-  /// Applies one micro-behavior (merge-or-extend, see above).
+  /// Appends one micro-behavior to the run.
   void Append(const MicroBehavior& ev);
 
-  /// Drops the oldest macro items (and their micro-behaviors) until at most
-  /// `max_flat_events` flat events remain. Bounds per-session memory for
-  /// pathological never-ending sessions.
+  /// While more than `max_flat_events` events remain and more than one
+  /// same-item run is left, drops the oldest run. Bounds per-session memory
+  /// for pathological never-ending sessions.
   void TrimToFlatCap(size_t max_flat_events);
 
   /// The model-facing view: the whole current session as input, target
-  /// unset (serving predicts it). Ops/items invariants match preprocess.
+  /// unset (serving predicts it).
   Example ToExample() const;
-
-  friend bool operator==(const SessionState& a, const SessionState& b) {
-    return a.macro_items == b.macro_items && a.macro_ops == b.macro_ops &&
-           a.flat_items == b.flat_items && a.flat_ops == b.flat_ops;
-  }
 };
 
-/// Knobs for the in-memory store, read from the environment:
-///
-///   EMBSR_SERVE_MAX_SESSIONS  LRU-evict beyond this many live sessions
-///   EMBSR_SERVE_MAX_EVENTS    per-session flat-event cap (sliding window)
+/// Bounds of the in-memory store.
 struct SessionStoreConfig {
+  /// LRU-evict beyond this many live sessions.
   size_t max_sessions = 100000;
+  /// Per-session event cap (TrimToFlatCap).
   size_t max_events_per_session = 256;
-
-  static SessionStoreConfig FromEnv();
 };
 
 /// In-memory per-user session state with incremental updates, LRU eviction
@@ -102,8 +86,10 @@ class SessionStore {
   [[nodiscard]] Status SaveSnapshot(const std::string& path) const;
 
   /// Replaces the store contents with a snapshot's. Bounds-checked parse,
-  /// CRC verified first; on any error the store is left unchanged. LRU
-  /// recency restarts from zero (recency is runtime state, not content).
+  /// CRC verified first; each session is rebuilt from its flat sections and
+  /// must reproduce its stored macro sections. On any error the store is
+  /// left unchanged. LRU recency restarts from zero (recency is runtime
+  /// state, not content).
   [[nodiscard]] Status LoadSnapshot(const std::string& path);
 
   const SessionStoreConfig& config() const { return config_; }

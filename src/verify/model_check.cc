@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "data/preprocess.h"
 #include "models/neural_model.h"
 #include "train/model_zoo.h"
 
@@ -12,13 +13,9 @@ int64_t TinyVocabItems() { return 12; }
 int64_t TinyVocabOperations() { return 4; }
 
 Example TinyExample() {
-  Example ex;
-  ex.macro_items = {3, 7, 5};
-  ex.macro_ops = {{1}, {0, 2}, {1, 3}};
-  // Flat micro-behavior view of the same session: each macro item repeated
-  // once per operation, operations parallel.
-  ex.flat_items = {3, 7, 7, 5, 5};
-  ex.flat_ops = {1, 0, 2, 1, 3};
+  // Five micro-behaviors; they merge into macro items {3, 7, 5} with
+  // operation runs {1}, {0, 2}, {1, 3}.
+  Example ex = ExampleFromEvents({3, 7, 7, 5, 5}, {1, 0, 2, 1, 3});
   ex.target = 9;
   return ex;
 }

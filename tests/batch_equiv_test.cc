@@ -19,8 +19,7 @@
 //     model's batched graph.
 //
 // Suite name BatchEquiv is load-bearing: scripts/run_sanitized_tests.sh
-// re-runs `ctest -R '^BatchEquiv'` under EMBSR_THREADS=4, and
-// scripts/verify_gate.py runs the binary in its --batch-equiv stage.
+// re-runs `ctest -R '^BatchEquiv'` under EMBSR_THREADS=4.
 
 #include <cmath>
 #include <cstring>

@@ -10,6 +10,7 @@
 #include "nn/layers.h"
 #include "robust/failpoint.h"
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/fs_util.h"
 
 namespace embsr {
@@ -33,6 +34,25 @@ void WriteAll(const std::string& path, const std::string& data) {
 template <typename T>
 void AppendPod(std::string* out, const T& value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+template <typename T>
+T PodAt(const std::string& bytes, size_t offset) {
+  T value{};
+  std::memcpy(&value, bytes.data() + offset, sizeof(T));
+  return value;
+}
+
+/// `bytes` with the POD at `offset` rewritten and the CRC trailer resealed,
+/// so only the reader's bounds checks stand between the value and an
+/// allocation.
+template <typename T>
+std::string Resealed(std::string bytes, size_t offset, T value) {
+  std::memcpy(bytes.data() + offset, &value, sizeof(T));
+  const size_t body = bytes.size() - sizeof(uint32_t);
+  const uint32_t crc = Crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  return bytes;
 }
 
 /// Hand-writes a format-v1 checkpoint (no flags word, no CRC) for `module`,
@@ -259,6 +279,60 @@ TEST(CheckpointFuzzTest, EverySingleBitFlipIsDetected) {
       EXPECT_FALSE(s.ok()) << "flip of byte " << byte << " bit " << bit
                            << " was accepted";
     }
+  }
+}
+
+TEST(CheckpointFuzzTest, ResealedCountsAndDimsPastTheFileAreRejected) {
+  Rng rng(14);
+  nn::Linear lin(2, 2, &rng);
+  nn::TrainState st;
+  st.best_params.emplace_back(std::vector<int64_t>{2, 3}, 1.5f);
+  st.opt_scalars = {3.0};
+  st.opt_slots.emplace_back(std::vector<int64_t>{3}, -2.0f);
+  const std::string weights_path = TempPath("bounds_weights.ckpt");
+  const std::string path = TempPath("bounds_state.ckpt");
+  ASSERT_TRUE(nn::SaveCheckpoint(lin, weights_path).ok());
+  ASSERT_TRUE(nn::SaveCheckpoint(lin, st, path).ok());
+  const std::string full = ReadAll(path);
+
+  // The train state starts where a weights-only file's CRC does: epoch i32
+  // and best_mrr f64, then the best-params count u32 and its one tensor
+  // (rank u32, dims 2 x i64, 6 floats), the RNG state (4 x u64, u32, f64)
+  // and one optimizer scalar (count u32, f64); the slot count follows.
+  const size_t best_count_at =
+      ReadAll(weights_path).size() - sizeof(uint32_t) + 4 + 8;
+  const size_t best_dim_at = best_count_at + 4 + 4;
+  const size_t slot_count_at =
+      best_count_at + 4 + (4 + 16 + 24) + (32 + 4 + 8) + (4 + 8);
+  ASSERT_EQ(PodAt<uint32_t>(full, best_count_at), 1u);
+  ASSERT_EQ(PodAt<int64_t>(full, best_dim_at), 2);
+  ASSERT_EQ(PodAt<uint32_t>(full, slot_count_at), 1u);
+
+  struct Case {
+    const char* what;
+    std::string bytes;
+    const char* message;
+  };
+  const std::vector<Case> cases = {
+      {"best-params count 0xFFFFFFFF",
+       Resealed(full, best_count_at, uint32_t{0xFFFFFFFFu}), "implausible"},
+      {"best-params count 0x10000000",
+       Resealed(full, best_count_at, uint32_t{0x10000000u}), "implausible"},
+      {"optimizer slot count 2^20 - 1",
+       Resealed(full, slot_count_at, uint32_t{(1u << 20) - 1}),
+       "implausible"},
+      {"best-params dim 2^30",
+       Resealed(full, best_dim_at, int64_t{1} << 30), "overruns"},
+  };
+  const std::string victim = TempPath("bounds_victim.ckpt");
+  for (const Case& c : cases) {
+    WriteAll(victim, c.bytes);
+    nn::Linear into(2, 2, &rng);
+    nn::TrainState out;
+    const Status s = nn::LoadCheckpoint(victim, &into, &out);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_NE(s.message().find(c.message), std::string::npos)
+        << c.what << ": " << s.message();
   }
 }
 

@@ -1,21 +1,30 @@
 // Acceptance tests for the fault-tolerant serving core (src/serve): the
 // deadline contract, admission control, circuit breaking, degraded-mode
-// labeling and session snapshot round-trips — all on a manual clock, so
-// "the scorer took 80 ms" is a scripted fact, not a race.
+// labeling, session snapshot round-trips and corruption, and train/serve
+// parity — all on a manual clock, so "the scorer took 80 ms" is a scripted
+// fact, not a race.
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "data/preprocess.h"
 #include "metrics/metrics.h"
+#include "obs/metrics.h"
 #include "robust/failpoint.h"
 #include "serve/clock.h"
 #include "serve/frontend.h"
 #include "serve/scorer.h"
 #include "serve/session_store.h"
+#include "train/model_zoo.h"
+#include "util/crc32.h"
 #include "util/fs_util.h"
 
 namespace embsr {
@@ -25,6 +34,16 @@ constexpr int64_t kMs = 1000000;  // ns per ms
 
 std::string TempPath(const char* name) {
   return std::string(::testing::TempDir()) + "/" + name;
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+bool SameExample(const Example& a, const Example& b) {
+  return a.macro_items == b.macro_items && a.macro_ops == b.macro_ops &&
+         a.flat_items == b.flat_items && a.flat_ops == b.flat_ops &&
+         a.target == b.target;
 }
 
 class FailpointEnvGuard {
@@ -183,6 +202,49 @@ TEST(ServeTest, QueueOverflowShedsWithTypedReject) {
   robust::Failpoints::Global().Set("serve.queue_full", 1.0, /*limit=*/1);
   EXPECT_EQ(fe.Submit(Req(4)).code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(fe.Submit(Req(5)).ok());
+}
+
+TEST(ServeTest, OutOfVocabularyEventIsRejectedAtSubmit) {
+  FailpointEnvGuard guard;
+  const ProcessedDataset data = TinyData();
+  serve::PopularityScorer fallback;
+  ASSERT_TRUE(fallback.Fit(data).ok());
+  obs::Counter* rejected =
+      obs::Registry::Global().GetCounter("serve/rejected_invalid");
+  TrainConfig tc;
+  tc.embedding_dim = 8;
+  // Both models index their embedding tables with the event's ids.
+  for (const char* name : {"EMBSR", "STAMP"}) {
+    SCOPED_TRACE(name);
+    auto primary =
+        CreateModel(name, data.num_items, data.num_operations, tc);
+    ASSERT_NE(primary, nullptr);
+    primary->EnsureEvalMode();
+    serve::ManualClock mc;
+    serve::ServeFrontend fe(TestConfig(), primary.get(), &fallback,
+                            mc.clock());
+    const int64_t rejected_before = rejected->value();
+    // Item num_items, item -1, and operation num_operations (EMBSR's
+    // virtual operation id), all on session 5.
+    for (const serve::Request& bad :
+         {Req(1, 5, data.num_items, 0), Req(2, 5, -1, 0),
+          Req(3, 5, 2, data.num_operations)}) {
+      EXPECT_EQ(fe.Submit(bad).code(), StatusCode::kInvalidArgument);
+    }
+    EXPECT_EQ(rejected->value() - rejected_before, 3);
+    EXPECT_EQ(fe.queue_depth(), 0u);
+    EXPECT_EQ(fe.store().size(), 0u);
+
+    ASSERT_TRUE(fe.Submit(Req(4, 5, 2, 1)).ok());
+    auto r = fe.ProcessNext();
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.value().status.ok());
+    EXPECT_FALSE(r.value().degraded);
+    EXPECT_EQ(r.value().top_items.size(), TestConfig().top_k);
+    auto state = fe.store().Get(5);
+    ASSERT_TRUE(state.ok());
+    EXPECT_EQ(state.value()->flat_items, (std::vector<int64_t>{2}));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -358,13 +420,14 @@ TEST(ServeTest, SessionStateMergesMicroBehaviors) {
   ASSERT_TRUE(store.ApplyEvent(1, {5, 2}).ok());
   auto r = store.ApplyEvent(1, {7, 1});
   ASSERT_TRUE(r.ok());
-  const serve::SessionState& s = *r.value();
-  EXPECT_EQ(s.macro_items, (std::vector<int64_t>{5, 7}));
-  ASSERT_EQ(s.macro_ops.size(), 2u);
-  EXPECT_EQ(s.macro_ops[0], (std::vector<int64_t>{0, 2}));
-  EXPECT_EQ(s.macro_ops[1], (std::vector<int64_t>{1}));
-  EXPECT_EQ(s.flat_items, (std::vector<int64_t>{5, 5, 7}));
-  EXPECT_EQ(s.flat_ops, (std::vector<int64_t>{0, 2, 1}));
+  const Example ex = r.value()->ToExample();
+  EXPECT_EQ(ex.macro_items, (std::vector<int64_t>{5, 7}));
+  ASSERT_EQ(ex.macro_ops.size(), 2u);
+  EXPECT_EQ(ex.macro_ops[0], (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(ex.macro_ops[1], (std::vector<int64_t>{1}));
+  EXPECT_EQ(ex.flat_items, (std::vector<int64_t>{5, 5, 7}));
+  EXPECT_EQ(ex.flat_ops, (std::vector<int64_t>{0, 2, 1}));
+  EXPECT_EQ(ex.target, 0);
 }
 
 TEST(ServeTest, SessionTrimDropsOldestMacroItems) {
@@ -376,9 +439,9 @@ TEST(ServeTest, SessionTrimDropsOldestMacroItems) {
   ASSERT_TRUE(store.ApplyEvent(1, {2, 0}).ok());
   auto r = store.ApplyEvent(1, {3, 0});  // 4 flat events > cap of 3
   ASSERT_TRUE(r.ok());
-  const serve::SessionState& s = *r.value();
-  EXPECT_EQ(s.macro_items, (std::vector<int64_t>{2, 3}));
-  EXPECT_EQ(s.flat_items, (std::vector<int64_t>{2, 3}));
+  const Example ex = r.value()->ToExample();
+  EXPECT_EQ(ex.macro_items, (std::vector<int64_t>{2, 3}));
+  EXPECT_EQ(ex.flat_items, (std::vector<int64_t>{2, 3}));
 }
 
 TEST(ServeTest, SnapshotRoundTripsBitForBit) {
@@ -408,7 +471,8 @@ TEST(ServeTest, SnapshotRoundTripsBitForBit) {
   ASSERT_TRUE(restored.ApplyEvent(42, {7, 2}).ok());
   auto s2 = restored.Get(42);
   ASSERT_TRUE(s2.ok());
-  EXPECT_EQ(s2.value()->macro_ops.back(), (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(s2.value()->ToExample().macro_ops.back(),
+            (std::vector<int64_t>{1, 2}));
 }
 
 TEST(ServeTest, CorruptSnapshotIsRejectedAndStoreUnchanged) {
@@ -433,6 +497,85 @@ TEST(ServeTest, CorruptSnapshotIsRejectedAndStoreUnchanged) {
   EXPECT_EQ(victim.Serialize(), before);  // unchanged on failure
 }
 
+/// Three sessions, one of them with a two-event run (see
+/// SnapshotRoundTripsBitForBit), serialized.
+std::string ThreeSessionImage() {
+  serve::SessionStore store;
+  EXPECT_TRUE(store.ApplyEvent(42, {5, 0}).ok());
+  EXPECT_TRUE(store.ApplyEvent(42, {5, 2}).ok());
+  EXPECT_TRUE(store.ApplyEvent(42, {7, 1}).ok());
+  EXPECT_TRUE(store.ApplyEvent(1, {3, 3}).ok());
+  EXPECT_TRUE(store.ApplyEvent(7, {9, 0}).ok());
+  return store.Serialize();
+}
+
+/// Loads each image into a store holding other content; every load must
+/// fail with InvalidArgument and leave that store as it was.
+void ExpectEveryImageRejected(const std::vector<std::string>& images,
+                              const char* file) {
+  serve::SessionStore victim;
+  ASSERT_TRUE(victim.ApplyEvent(9, {1, 1}).ok());
+  const std::string before = victim.Serialize();
+  const std::string path = TempPath(file);
+  for (size_t i = 0; i < images.size(); ++i) {
+    WriteAll(path, images[i]);
+    const Status s = victim.LoadSnapshot(path);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "image " << i;
+    EXPECT_EQ(victim.Serialize(), before) << "image " << i;
+  }
+}
+
+TEST(ServeTest, SnapshotTruncationAtEveryLengthIsRejected) {
+  FailpointEnvGuard guard;
+  const std::string full = ThreeSessionImage();
+  std::vector<std::string> images;
+  for (size_t len = 0; len < full.size(); ++len) {
+    images.push_back(full.substr(0, len));
+  }
+  ExpectEveryImageRejected(images, "serve_snapshot_trunc.bin");
+}
+
+TEST(ServeTest, SnapshotEverySingleBitFlipIsRejected) {
+  FailpointEnvGuard guard;
+  const std::string full = ThreeSessionImage();
+  std::vector<std::string> images;
+  for (size_t byte = 0; byte < full.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      images.push_back(full);
+      images.back()[byte] = static_cast<char>(full[byte] ^ (1 << bit));
+    }
+  }
+  ExpectEveryImageRejected(images, "serve_snapshot_flip.bin");
+}
+
+TEST(ServeTest, SnapshotWhoseMacroSectionsDisagreeWithItsRunIsRejected) {
+  FailpointEnvGuard guard;
+  serve::SessionStore store;
+  ASSERT_TRUE(store.ApplyEvent(42, {5, 0}).ok());
+  ASSERT_TRUE(store.ApplyEvent(42, {5, 2}).ok());
+  ASSERT_TRUE(store.ApplyEvent(42, {7, 1}).ok());
+  std::string bytes = store.Serialize();
+  // Magic 8, version 4, session count 8, session id 8, macro-item count 8,
+  // first macro item 8: the second macro item (7) follows. Rewrite it to 9
+  // and reseal the CRC, so only the consistency check can catch it.
+  constexpr size_t kSecondMacroItem = 8 + 4 + 8 + 8 + 8 + 8;
+  int64_t item = 0;
+  std::memcpy(&item, bytes.data() + kSecondMacroItem, sizeof(item));
+  ASSERT_EQ(item, 7);
+  item = 9;
+  std::memcpy(bytes.data() + kSecondMacroItem, &item, sizeof(item));
+  const size_t body = bytes.size() - sizeof(uint32_t);
+  const uint32_t crc = Crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  ExpectEveryImageRejected({bytes}, "serve_snapshot_macro.bin");
+  serve::SessionStore fresh;
+  EXPECT_NE(fresh.LoadSnapshot(TempPath("serve_snapshot_macro.bin"))
+                .message()
+                .find("macro sections"),
+            std::string::npos);
+  EXPECT_EQ(fresh.size(), 0u);
+}
+
 TEST(ServeTest, StoreEvictsLeastRecentlyTouchedSession) {
   serve::SessionStoreConfig cfg;
   cfg.max_sessions = 2;
@@ -446,6 +589,157 @@ TEST(ServeTest, StoreEvictsLeastRecentlyTouchedSession) {
   EXPECT_TRUE(store.Get(1).ok());
   EXPECT_EQ(store.Get(2).status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(store.Get(3).ok());
+}
+
+// ---------------------------------------------------------------------------
+// (f) Train/serve parity: the server scores exactly what offline
+// preprocessing builds from each session's event run.
+
+/// The test's own account of what the store should hold: each live
+/// session's event log under the trim rule (while the log is over the cap
+/// and holds more than one same-item run, its oldest run goes), with LRU
+/// eviction past `max_sessions`.
+class StoreMirror {
+ public:
+  explicit StoreMirror(serve::SessionStoreConfig cfg) : cfg_(cfg) {}
+
+  void Apply(uint64_t id, const MicroBehavior& ev) {
+    Log& log = logs_[id];
+    log.items.push_back(ev.item);
+    log.ops.push_back(ev.operation);
+    while (log.items.size() > cfg_.max_events_per_session) {
+      size_t run = 1;
+      while (run < log.items.size() && log.items[run] == log.items[0]) ++run;
+      if (run == log.items.size()) break;
+      log.items.erase(log.items.begin(), log.items.begin() + run);
+      log.ops.erase(log.ops.begin(), log.ops.begin() + run);
+      ++trims_;
+    }
+    log.touch = ++touch_;
+    if (logs_.size() > cfg_.max_sessions) {
+      auto victim = logs_.begin();
+      for (auto it = logs_.begin(); it != logs_.end(); ++it) {
+        if (it->second.touch < victim->second.touch) victim = it;
+      }
+      evicted_.push_back(victim->first);
+      logs_.erase(victim);
+    }
+  }
+
+  /// A restored snapshot restarts recency in session-id order.
+  void RestartRecency() {
+    touch_ = 0;
+    for (auto& [id, log] : logs_) log.touch = ++touch_;
+  }
+
+  Example ExampleOf(uint64_t id) const {
+    const Log& log = logs_.at(id);
+    return ExampleFromEvents(log.items, log.ops);
+  }
+  /// The last item of `id`'s live run, or -1.
+  int64_t LastItem(uint64_t id) const {
+    auto it = logs_.find(id);
+    return it == logs_.end() ? -1 : it->second.items.back();
+  }
+  size_t size() const { return logs_.size(); }
+  int64_t trims() const { return trims_; }
+  const std::vector<uint64_t>& evicted() const { return evicted_; }
+
+ private:
+  struct Log {
+    std::vector<int64_t> items;
+    std::vector<int64_t> ops;
+    uint64_t touch = 0;
+  };
+  serve::SessionStoreConfig cfg_;
+  std::map<uint64_t, Log> logs_;
+  uint64_t touch_ = 0;
+  int64_t trims_ = 0;
+  std::vector<uint64_t> evicted_;
+};
+
+TEST(ServeTest, SeededStreamServesWhatTheOfflinePipelineBuilds) {
+  FailpointEnvGuard guard;
+  const ProcessedDataset data = TinyData();
+  serve::PopularityScorer fallback;
+  ASSERT_TRUE(fallback.Fit(data).ok());
+  TrainConfig tc;
+  tc.embedding_dim = 8;
+  auto primary =
+      CreateModel("STAMP", data.num_items, data.num_operations, tc);
+  ASSERT_NE(primary, nullptr);
+  primary->EnsureEvalMode();
+
+  serve::ServeConfig cfg = TestConfig();
+  cfg.store.max_sessions = 48;           // 96 session ids: sessions evict
+  cfg.store.max_events_per_session = 6;  // and trim
+  serve::ManualClock mc;  // never advances: no deadline can expire
+  auto fe = std::make_unique<serve::ServeFrontend>(cfg, primary.get(),
+                                                   &fallback, mc.clock());
+  StoreMirror mirror(cfg.store);
+
+  constexpr int kEvents = 6000;
+  constexpr uint64_t kSessionIds = 96;
+  Rng rng(20221);
+  std::set<uint64_t> seen;
+  int full_price = 0;
+  for (int i = 0; i < kEvents; ++i) {
+    if (i == kEvents / 2) {
+      // Halfway, the stream moves to a fresh frontend whose empty store is
+      // loaded from the old one's snapshot.
+      const std::string path = TempPath("serve_parity_snapshot.bin");
+      ASSERT_TRUE(fe->store().SaveSnapshot(path).ok());
+      const std::string image = fe->store().Serialize();
+      fe = std::make_unique<serve::ServeFrontend>(cfg, primary.get(),
+                                                  &fallback, mc.clock());
+      ASSERT_TRUE(fe->store().LoadSnapshot(path).ok());
+      ASSERT_EQ(fe->store().Serialize(), image);
+      mirror.RestartRecency();
+    }
+    // Low ids are hot (they live long and trim), high ids cold (they come
+    // and get evicted).
+    const uint64_t sid = rng.UniformInt(1 + rng.UniformInt(kSessionIds));
+    seen.insert(sid);
+    // Four in ten events repeat the session's last item, so runs form.
+    const int64_t last = mirror.LastItem(sid);
+    const int64_t item =
+        last >= 0 && rng.Bernoulli(0.4)
+            ? last
+            : static_cast<int64_t>(
+                  rng.UniformInt(static_cast<uint64_t>(data.num_items)));
+    const MicroBehavior ev{item, static_cast<int64_t>(rng.UniformInt(
+                                     static_cast<uint64_t>(
+                                         data.num_operations)))};
+    const size_t evicted_before = mirror.evicted().size();
+    mirror.Apply(sid, ev);
+
+    ASSERT_TRUE(fe->Submit(Req(static_cast<uint64_t>(i) + 1, sid, ev.item,
+                               ev.operation))
+                    .ok());
+    auto r = fe->ProcessNext();
+    ASSERT_TRUE(r.ok());
+    const serve::ServeResponse& resp = r.value();
+    ASSERT_TRUE(resp.status.ok());
+
+    ASSERT_EQ(fe->store().size(), mirror.size()) << "event " << i;
+    auto state = fe->store().Get(sid);
+    ASSERT_TRUE(state.ok());
+    const Example ex = state.value()->ToExample();
+    ASSERT_TRUE(SameExample(ex, mirror.ExampleOf(sid))) << "event " << i;
+    if (mirror.evicted().size() > evicted_before) {
+      EXPECT_EQ(fe->store().Get(mirror.evicted().back()).status().code(),
+                StatusCode::kNotFound);
+    }
+    if (!resp.degraded) {
+      ++full_price;
+      ASSERT_EQ(resp.top_items, TopKIndices(primary->ScoreAll(ex), cfg.top_k))
+          << "event " << i;
+    }
+  }
+  EXPECT_EQ(full_price, kEvents);
+  EXPECT_GE(seen.size(), 64u);
+  EXPECT_GT(mirror.trims(), 0);
+  EXPECT_GT(mirror.evicted().size(), 0u);
 }
 
 // ---------------------------------------------------------------------------
