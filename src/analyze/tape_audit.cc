@@ -1,6 +1,5 @@
 #include "analyze/tape_audit.h"
 
-#include <algorithm>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -9,14 +8,6 @@
 
 namespace embsr {
 namespace analyze {
-
-namespace {
-
-bool Contains(const std::vector<std::string>& list, const std::string& s) {
-  return std::find(list.begin(), list.end(), s) != list.end();
-}
-
-}  // namespace
 
 std::vector<ag::Node*> ReachableNodes(const ag::Variable& root) {
   std::vector<ag::Node*> order;
@@ -37,8 +28,7 @@ std::vector<ag::Node*> ReachableNodes(const ag::Variable& root) {
 
 TapeAuditReport AuditTape(const ag::Variable& loss,
                           const std::vector<nn::NamedParameter>& params,
-                          const ag::Tape& tape,
-                          const TapeAuditOptions& options) {
+                          const ag::Tape& tape) {
   TapeAuditReport report;
   auto fail = [&report](const std::string& msg) {
     report.failures.push_back(msg);
@@ -106,24 +96,27 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
   }
   ++expected[loss.node().get()];
 
-  // Invariant 1: every parameter on a path to the loss, gradient received —
-  // with explicitly-allowed exceptions, themselves checked for staleness.
+  // Invariant 1: every parameter on a path to the loss, gradient received.
   for (const nn::NamedParameter& p : params) {
     if (!p.variable.defined()) continue;
     ag::Node* node = p.variable.node().get();
-    const bool alive = reachable.count(node) > 0 && node->accum_count > 0;
-    const bool allowed_dead = Contains(options.allowed_dead_params, p.name);
-    if (!alive && !allowed_dead) {
+    if (reachable.count(node) == 0 || node->accum_count == 0) {
       fail("dead parameter '" + p.name + "' (" +
            (reachable.count(node) ? "reachable but received no gradient"
                                   : "not reachable from the loss") +
            ")");
-    } else if (alive && allowed_dead) {
-      fail("stale allowance: parameter '" + p.name +
-           "' is listed as allowed-dead but received a gradient");
-    } else if (!alive) {
-      ++report.stats.dead_params_allowed;
     }
+  }
+
+  // Invariant 7: every requires_grad leaf the loss reaches is registered.
+  for (ag::Node* n : reachable_order) {
+    if (!n->requires_grad || !n->parents.empty() || n->backward_fn ||
+        param_name_of_node.count(n) > 0) {
+      continue;
+    }
+    fail("unregistered leaf producing " + n->value.ShapeString() +
+         ": requires grad and reaches the loss, but is not a registered "
+         "parameter");
   }
 
   // Invariant 2: accumulation count equals fan-out for every reachable
@@ -149,7 +142,6 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
   // requires_grad must be an ancestor of the loss.
   for (const auto& node : tape.nodes()) {
     if (!node->requires_grad || reachable.count(node.get())) continue;
-    if (Contains(options.allowed_orphan_ops, ag::OpName(*node))) continue;
     fail("orphaned op '" + std::string(ag::OpName(*node)) + "' producing " +
          node->value.ShapeString() +
          ": recorded on the tape but unreachable from the loss");
@@ -185,8 +177,7 @@ std::string TapeAuditReport::ToString() const {
   out << "tape audit: " << (ok() ? "OK" : "FAILED") << " — "
       << stats.reachable_nodes << "/" << stats.tape_nodes
       << " nodes reachable, " << stats.edges << " edges, " << stats.parameters
-      << " parameters (" << stats.parameter_scalars << " scalars, "
-      << stats.dead_params_allowed << " allowed-dead), "
+      << " parameters (" << stats.parameter_scalars << " scalars), "
       << stats.shapes_checked << " shapes checked, " << stats.recorded_bytes
       << " recorded bytes";
   for (const std::string& f : failures) out << "\n  - " << f;

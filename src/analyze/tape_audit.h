@@ -28,10 +28,9 @@ namespace analyze {
 /// freshly built graph whose nodes were recorded by an ag::Tape):
 ///
 ///   1. *No dead parameters.* Every registered parameter is an ancestor of
-///      the loss and received a gradient — unless explicitly allowed
-///      (ablation variants construct components their config disables).
-///      Allowances are checked both ways: an allowed-dead parameter that
-///      *does* get a gradient is a stale allowance and also fails.
+///      the loss and received a gradient. There are no exceptions: a model
+///      registers only the components its config wires into the forward
+///      (EmbsrModel's ablation switches included).
 ///   2. *Accumulation matches fan-out.* For every reachable requires_grad
 ///      node, the number of AccumulateGrad calls it received equals its
 ///      consumer-edge count (with multiplicity) plus one at the backward
@@ -49,19 +48,14 @@ namespace analyze {
 ///      or reachable from the loss, passes its OpDef::shape_rule. Ops over
 ///      non-differentiable inputs record no parents, so their rule cannot
 ///      run.
+///   7. *Every trainable leaf is registered.* Each requires_grad leaf the
+///      loss reaches is one of `params`. A weight outside the parameter
+///      list gets gradients that no optimizer applies and no checkpoint
+///      saves; with invariant 1, the parameter list is exactly the set of
+///      weights the loss trains.
 ///
-/// The audit also totals the graph's recorded bytes, which RunModelAudit
+/// The audit also totals the graph's recorded bytes, which AuditModel
 /// compares with the memory profiler's measured peak.
-
-struct TapeAuditOptions {
-  /// Exact Module::NamedParameters paths expected to receive no gradient.
-  /// Normally empty; EMBSR ablation variants list the components their
-  /// config switches off (registered unconditionally by EmbsrModel).
-  std::vector<std::string> allowed_dead_params;
-  /// Op names (OpDef::name) whose outputs may legitimately be left unused.
-  /// Normally empty.
-  std::vector<std::string> allowed_orphan_ops;
-};
 
 struct TapeAuditStats {
   int64_t tape_nodes = 0;       // everything recorded, incl. constants
@@ -69,8 +63,7 @@ struct TapeAuditStats {
   int64_t edges = 0;            // parent links among reachable nodes
   int64_t parameters = 0;       // registered named parameters
   int64_t parameter_scalars = 0;
-  int64_t dead_params_allowed = 0;  // allowed-dead list entries that matched
-  int64_t shapes_checked = 0;       // op nodes whose shape rule ran
+  int64_t shapes_checked = 0;   // op nodes whose shape rule ran
   /// What a heap execution of the graph, which frees nothing until the
   /// graph dies, holds at its high-water mark: the value of every tape
   /// node, plus one gradient buffer for every node that accumulated one
@@ -97,8 +90,7 @@ std::vector<ag::Node*> ReachableNodes(const ag::Variable& root);
 /// zeroed (the fan-out counts assume a single seed).
 TapeAuditReport AuditTape(const ag::Variable& loss,
                           const std::vector<nn::NamedParameter>& params,
-                          const ag::Tape& tape,
-                          const TapeAuditOptions& options = {});
+                          const ag::Tape& tape);
 
 }  // namespace analyze
 }  // namespace embsr

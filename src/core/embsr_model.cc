@@ -57,40 +57,56 @@ EmbsrModel::EmbsrModel(std::string name, int64_t num_items,
                         rng()),
       rnn_fuse_(2 * train_cfg.embedding_dim, train_cfg.embedding_dim,
                 rng()) {
+  // Every component is constructed, in one fixed order, whatever the
+  // config, so each weight draws the same initial values in every variant.
+  // Only the components the config wires into the forward are registered:
+  // the parameter list is exactly what training can move, and the tape
+  // audit can demand a gradient for every entry (DESIGN.md §12).
+  const bool gnn = cfg.use_gnn && !cfg.rnn_backbone;
+  const bool attention = cfg.use_self_attention;
+  const bool uses_ops = cfg.rnn_backbone || cfg.use_op_in_attention ||
+                        (cfg.use_gnn && cfg.use_op_gru_edges);
+  const bool gated_fusion = cfg.fixed_beta < 0.0f;
+  auto wire = [this](bool wired, const char* name, nn::Module* child) {
+    if (wired) RegisterModule(name, child);
+  };
   RegisterModule("items", &items_);
-  RegisterModule("ops", &ops_);
-  RegisterModule("relations", &relations_);
-  RegisterModule("positions", &positions_);
-  RegisterModule("micro_gru", &micro_gru_);
-  RegisterModule("msg_in", &msg_in_);
-  RegisterModule("msg_out", &msg_out_);
-  RegisterModule("highway", &highway_);
-  RegisterModule("ffn", &ffn_);
-  RegisterModule("ln1", &ln1_);
-  RegisterModule("ln2", &ln2_);
-  RegisterModule("fusion", &fusion_);
-  RegisterModule("rnn_backbone_gru", &rnn_backbone_gru_);
-  RegisterModule("rnn_fuse", &rnn_fuse_);
+  wire(uses_ops, "ops", &ops_);
+  wire(attention && cfg.use_dyadic, "relations", &relations_);
+  wire(attention, "positions", &positions_);
+  wire(gnn && cfg.use_op_gru_edges, "micro_gru", &micro_gru_);
+  wire(gnn, "msg_in", &msg_in_);
+  wire(gnn, "msg_out", &msg_out_);
+  wire(gnn, "highway", &highway_);
+  wire(attention, "ffn", &ffn_);
+  wire(attention, "ln1", &ln1_);
+  wire(attention, "ln2", &ln2_);
+  wire(gated_fusion, "fusion", &fusion_);
+  wire(cfg.rnn_backbone, "rnn_backbone_gru", &rnn_backbone_gru_);
+  wire(cfg.rnn_backbone, "rnn_fuse", &rnn_fuse_);
 
   const int64_t d = train_cfg.embedding_dim;
   const float b = nn::InitBound(d);
-  auto mk = [&](const char* pname, int64_t r, int64_t c) {
-    return RegisterParameter(pname,
-                             Tensor::RandUniform({r, c}, -b, b, rng()));
+  // An unwired weight still takes its draw and is left undefined.
+  auto mk = [&](bool wired, const char* pname, int64_t r, int64_t c) {
+    Tensor init = Tensor::RandUniform({r, c}, -b, b, rng());
+    return wired ? RegisterParameter(pname, std::move(init)) : Variable();
   };
-  w_z_ = mk("w_z", 2 * d, d);
-  u_z_ = mk("u_z", d, d);
-  w_r_ = mk("w_r", 2 * d, d);
-  u_r_ = mk("u_r", d, d);
-  w_u_ = mk("w_u", 2 * d, d);
-  u_u_ = mk("u_u", d, d);
-  op_importance_ = RegisterParameter(
-      "op_importance", Tensor::Zeros({num_operations + 1, 1}));
-  wq1_ = mk("wq1", d, d);
-  wk1_ = mk("wk1", d, d);
-  wq2_ = mk("wq2", d, d);
-  wk2_ = mk("wk2", d, d);
-  w_q_attn_ = mk("w_q_attn", d, d);
+  w_z_ = mk(gnn, "w_z", 2 * d, d);
+  u_z_ = mk(gnn, "u_z", d, d);
+  w_r_ = mk(gnn, "w_r", 2 * d, d);
+  u_r_ = mk(gnn, "u_r", d, d);
+  w_u_ = mk(gnn, "w_u", 2 * d, d);
+  u_u_ = mk(gnn, "u_u", d, d);
+  if (cfg.weight_operations) {
+    op_importance_ = RegisterParameter(
+        "op_importance", Tensor::Zeros({num_operations + 1, 1}));
+  }
+  wq1_ = mk(gnn, "wq1", d, d);
+  wk1_ = mk(gnn, "wk1", d, d);
+  wq2_ = mk(gnn, "wq2", d, d);
+  wk2_ = mk(gnn, "wk2", d, d);
+  w_q_attn_ = mk(attention, "w_q_attn", d, d);
 }
 
 ag::Variable EmbsrModel::OpEmbedding(

@@ -106,6 +106,9 @@ class EmbsrModel : public NeuralSessionModel {
   /// documented as a substitution in DESIGN.md.
   int64_t virtual_op_;
 
+  // Every component below is constructed whatever the config; the ones
+  // the config leaves out of the forward are not registered, and their
+  // raw weights are undefined Variables.
   nn::Embedding items_;      // M^V
   nn::Embedding ops_;        // M^O (num_operations + 1: virtual op)
   nn::Embedding relations_;  // M^R ((|O|+1)^2 dyadic pairs)

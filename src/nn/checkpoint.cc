@@ -13,7 +13,6 @@ namespace nn {
 namespace {
 
 constexpr char kMagic[8] = {'E', 'M', 'B', 'S', 'R', 'C', 'K', 'P'};
-constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersion = 2;
 constexpr uint32_t kFlagHasTrainState = 1u << 0;
 constexpr uint32_t kMaxNameLen = 4096;
@@ -249,9 +248,9 @@ Status SaveImpl(const Module& module, const TrainState* state,
   return AtomicWriteFile(path, buf);
 }
 
-/// v1 layout: no flags word, no CRC, stream of params only.
-Status LoadLegacyParams(ByteReader* r, const std::string& path,
-                        Module* module) {
+/// The parameter section: count, then each parameter's name and tensor,
+/// which must match `module`'s names, order and shapes exactly.
+Status LoadParams(ByteReader* r, const std::string& path, Module* module) {
   uint32_t count = 0;
   Status s = r->ReadPod(&count, "parameter count");
   if (!s.ok()) return s;
@@ -304,20 +303,12 @@ Status LoadImpl(const std::string& path, Module* module, TrainState* state,
   uint32_t version = 0;
   s = r.ReadPod(&version, "version");
   if (!s.ok()) return s;
-  if (version != kVersionLegacy && version != kVersion) {
+  if (version != kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version " +
                                    std::to_string(version));
   }
 
-  if (version == kVersionLegacy) {
-    if (require_state) {
-      return Status::FailedPrecondition(
-          "'" + path + "' is a v1 checkpoint with no training state");
-    }
-    return LoadLegacyParams(&r, path, module);
-  }
-
-  // v2: verify the whole-file CRC before trusting any field.
+  // Verify the whole-file CRC before trusting any field.
   if (data.size() < sizeof(uint32_t)) {
     return Status::InvalidArgument("'" + path + "' is too short for a CRC");
   }
@@ -337,7 +328,7 @@ Status LoadImpl(const std::string& path, Module* module, TrainState* state,
   uint32_t flags = 0;
   s = r.ReadPod(&flags, "flags");
   if (!s.ok()) return s;
-  s = LoadLegacyParams(&r, path, module);  // v2 param section == v1 layout
+  s = LoadParams(&r, path, module);
   if (!s.ok()) return s;
 
   const bool has_state = (flags & kFlagHasTrainState) != 0;

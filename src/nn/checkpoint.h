@@ -42,7 +42,7 @@ struct TrainState {
 ///   f64[]) and slot tensor list. The file ends with a u32 CRC-32 of every
 ///   preceding byte, so truncation and bit rot are always detected.
 ///
-/// Version 1 files (weights only, no CRC) still load. Loading verifies that
+/// Any other version is rejected as InvalidArgument. Loading verifies that
 /// names, order and shapes match the target module exactly, so a checkpoint
 /// can only be restored into the same architecture (by design: silent
 /// partial loads hide bugs). Every read is bounds-checked; errors carry the
@@ -61,11 +61,11 @@ Status SaveCheckpoint(const Module& module, const TrainState& state,
                       const std::string& path);
 
 /// Restores weights into `module`; a trailing TrainState, if present, is
-/// ignored. Accepts format v1 and v2.
+/// ignored.
 Status LoadCheckpoint(const std::string& path, Module* module);
 
 /// Restores weights and training state. Fails with FailedPrecondition on a
-/// checkpoint that has no training state (e.g. a v1 file).
+/// checkpoint that has no training state.
 Status LoadCheckpoint(const std::string& path, Module* module,
                       TrainState* state);
 

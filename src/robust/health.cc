@@ -4,21 +4,9 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "util/env.h"
 
 namespace embsr {
 namespace robust {
-
-HealthConfig HealthConfig::FromEnv() {
-  HealthConfig cfg;
-  cfg.max_strikes = std::max(1, GetEnvInt("EMBSR_HEALTH_MAX_STRIKES", 3));
-  cfg.grad_limit = GetEnvDouble("EMBSR_HEALTH_GRAD_LIMIT", 1e4);
-  cfg.lr_backoff = GetEnvDouble("EMBSR_HEALTH_LR_BACKOFF", 0.5);
-  if (cfg.lr_backoff <= 0.0 || cfg.lr_backoff >= 1.0) cfg.lr_backoff = 0.5;
-  return cfg;
-}
-
-HealthGuard::HealthGuard() : HealthGuard(HealthConfig::FromEnv()) {}
 
 HealthGuard::HealthGuard(const HealthConfig& config) : config_(config) {
   // Publish the healthy baseline so the gauges describe *this* guard from

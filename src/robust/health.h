@@ -4,20 +4,17 @@
 namespace embsr {
 namespace robust {
 
-/// Numerical-health policy for the training loop, read from the
-/// environment:
-///
-///   EMBSR_HEALTH_MAX_STRIKES  consecutive bad batches before rollback (3)
-///   EMBSR_HEALTH_GRAD_LIMIT   grad-norm explosion threshold, 0 = off (1e4)
-///   EMBSR_HEALTH_LR_BACKOFF   lr multiplier applied per bad batch (0.5)
+/// Numerical-health policy for the training loop. Callers fill the fields
+/// in code; the trainer uses the defaults.
 struct HealthConfig {
+  /// Consecutive bad batches before rollback.
   int max_strikes = 3;
+  /// Grad-norm explosion threshold; 0 = off.
   double grad_limit = 1e4;
+  /// lr multiplier applied per bad batch, in (0, 1).
   double lr_backoff = 0.5;
   /// Floor for the cumulative backoff so lr never underflows to zero.
   double min_lr_scale = 1.0 / 1024.0;
-
-  static HealthConfig FromEnv();
 };
 
 /// What the training loop should do with the batch it just computed.
@@ -45,8 +42,7 @@ enum class BatchVerdict {
 /// backoff steps lr_scale sits below 1.0).
 class HealthGuard {
  public:
-  HealthGuard();
-  explicit HealthGuard(const HealthConfig& config);
+  explicit HealthGuard(const HealthConfig& config = {});
 
   /// Judges one batch. `loss` is the batch-mean loss, `grad_norm` the
   /// global (pre-clip) gradient norm.

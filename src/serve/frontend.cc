@@ -61,6 +61,11 @@ Status ServeFrontend::Submit(const Request& req) {
   return Status::OK();
 }
 
+Status ServeFrontend::LoadSnapshot(const std::string& path) {
+  return store_.LoadSnapshot(path, fallback_->num_items(),
+                             fallback_->num_operations());
+}
+
 void ServeFrontend::Backoff(int attempt, Rng* jitter, ServeResponse* resp) {
   static obs::Counter* retries =
       obs::Registry::Global().GetCounter("serve/retries");

@@ -116,8 +116,13 @@ class ServeFrontend {
   /// Drains the queue, preserving order.
   std::vector<ServeResponse> ProcessAll();
 
+  /// Restores the store from a snapshot (SessionStore::LoadSnapshot) and
+  /// rejects with InvalidArgument, store unchanged, one holding an item or
+  /// an operation outside the vocabulary Submit accepts.
+  [[nodiscard]] Status LoadSnapshot(const std::string& path);
+
   size_t queue_depth() const { return queue_.size(); }
-  SessionStore& store() { return store_; }
+  const SessionStore& store() const { return store_; }
   const CircuitBreaker& breaker() const { return breaker_; }
   const ServeConfig& config() const { return config_; }
 

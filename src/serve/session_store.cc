@@ -175,7 +175,8 @@ Status SessionStore::SaveSnapshot(const std::string& path) const {
   return s;
 }
 
-Status SessionStore::LoadSnapshot(const std::string& path) {
+Status SessionStore::LoadSnapshot(const std::string& path, int64_t num_items,
+                                  int64_t num_operations) {
   auto data = ReadFileToString(path);
   if (!data.ok()) return data.status();
   const std::string& bytes = data.value();
@@ -240,6 +241,18 @@ Status SessionStore::LoadSnapshot(const std::string& path) {
           "corrupt session snapshot: flat items/ops length mismatch at "
           "offset " +
           std::to_string(r.offset()));
+    }
+    for (size_t e = 0; e < state.flat_items.size(); ++e) {
+      const int64_t item = state.flat_items[e];
+      const int64_t op = state.flat_ops[e];
+      if (item < 0 || item >= num_items || op < 0 || op >= num_operations) {
+        return Status::InvalidArgument(
+            "session snapshot: event " + std::to_string(e) + " of session " +
+            std::to_string(id) + " (item " + std::to_string(item) +
+            ", operation " + std::to_string(op) +
+            ") is outside the vocabulary of " + std::to_string(num_items) +
+            " items and " + std::to_string(num_operations) + " operations");
+      }
     }
     // The macro sections are derived data: they must be exactly what the
     // flat run rebuilds to, or the image is inconsistent.

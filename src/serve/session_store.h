@@ -2,6 +2,7 @@
 #define EMBSR_SERVE_SESSION_STORE_H_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -87,10 +88,16 @@ class SessionStore {
 
   /// Replaces the store contents with a snapshot's. Bounds-checked parse,
   /// CRC verified first; each session is rebuilt from its flat sections and
-  /// must reproduce its stored macro sections. On any error the store is
-  /// left unchanged. LRU recency restarts from zero (recency is runtime
-  /// state, not content).
-  [[nodiscard]] Status LoadSnapshot(const std::string& path);
+  /// must reproduce its stored macro sections, and each of its events must
+  /// have an item in [0, num_items) and an operation in
+  /// [0, num_operations). The defaults bound nothing but the sign: a bare
+  /// store knows no vocabulary (ServeFrontend::LoadSnapshot passes its
+  /// own). On any error the store is left unchanged. LRU recency restarts
+  /// from zero (recency is runtime state, not content).
+  [[nodiscard]] Status LoadSnapshot(
+      const std::string& path,
+      int64_t num_items = std::numeric_limits<int64_t>::max(),
+      int64_t num_operations = std::numeric_limits<int64_t>::max());
 
   const SessionStoreConfig& config() const { return config_; }
 

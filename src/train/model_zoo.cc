@@ -1,6 +1,7 @@
 #include "train/model_zoo.h"
 
 #include "core/embsr_model.h"
+#include "data/preprocess.h"
 #include "models/baselines_gnn.h"
 #include "models/baselines_extra.h"
 #include "models/baselines_nonneural.h"
@@ -98,6 +99,25 @@ std::vector<std::string> Table3ModelNames() {
 std::vector<std::string> MacroModelNames() {
   return {"S-POP", "SKNN",     "NARM",   "STAMP",
           "SR-GNN", "GC-SAN", "BERT4Rec", "SGNN-HN"};
+}
+
+TrainConfig TinyZooConfig() {
+  TrainConfig cfg;
+  cfg.embedding_dim = 8;
+  cfg.max_positions = 16;
+  cfg.seed = 17;
+  return cfg;
+}
+
+Example TinyZooExample() {
+  Example ex = ExampleFromEvents({3, 7, 7, 5, 5}, {1, 0, 2, 1, 3});
+  ex.target = 9;
+  return ex;
+}
+
+std::unique_ptr<Recommender> CreateTinyZooModel(const std::string& name) {
+  return CreateModel(name, kTinyZooItems, kTinyZooOperations,
+                     TinyZooConfig());
 }
 
 }  // namespace embsr

@@ -25,6 +25,22 @@ std::vector<std::string> Table3ModelNames();
 /// The macro-behavior subset of the baselines (no operation inputs).
 std::vector<std::string> MacroModelNames();
 
+/// The tiny zoo fixture the tape audit (src/analyze), the model gradcheck
+/// (src/verify) and the batched audit (tests/batch_equiv_test.cc) build
+/// every model on: 12 items, 4 operations, d = 8, 16 positions, seed 17.
+constexpr int64_t kTinyZooItems = 12;
+constexpr int64_t kTinyZooOperations = 4;
+TrainConfig TinyZooConfig();
+
+/// The fixture's session: five micro-behaviors on items {3, 7, 7, 5, 5}
+/// with operations {1, 0, 2, 1, 3}, which merge into macro items {3, 7, 5}
+/// with runs {1}, {0, 2}, {1, 3}; target 9. Every model path (GNN on the
+/// item graph, op encoding, attention over positions) has work to do.
+Example TinyZooExample();
+
+/// CreateModel on the fixture's vocabulary and config.
+std::unique_ptr<Recommender> CreateTinyZooModel(const std::string& name);
+
 }  // namespace embsr
 
 #endif  // EMBSR_TRAIN_MODEL_ZOO_H_

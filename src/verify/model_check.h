@@ -3,15 +3,14 @@
 
 #include <string>
 
-#include "data/session.h"
 #include "verify/gradcheck.h"
 
 namespace embsr {
 namespace verify {
 
 /// End-to-end gradient check of a model from the zoo: builds the model by
-/// name on a tiny vocabulary, evaluates LossOn a fixed synthetic example in
-/// eval mode (dropout off, so the loss is a pure function of the
+/// name on the tiny zoo fixture (train/model_zoo.h), evaluates LossOn its
+/// session in eval mode (dropout off, so the loss is a pure function of the
 /// parameters), and compares backward against central differences over a
 /// sampled subset of every parameter tensor.
 struct ModelGradCheckOutcome {
@@ -22,13 +21,6 @@ struct ModelGradCheckOutcome {
   bool neural = false;
   GradCheckResult result;
 };
-
-/// The fixed synthetic session every model is checked on: 3 macro items
-/// with 1-2 micro-operations each, vocabulary of `TinyVocabItems()` items
-/// and `TinyVocabOperations()` operation types.
-Example TinyExample();
-int64_t TinyVocabItems();
-int64_t TinyVocabOperations();
 
 /// Gradient-checks the named zoo model end to end (parameters -> LossOn).
 /// `config.max_elements_per_leaf` should be small (e.g. 8): exhaustive

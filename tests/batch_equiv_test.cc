@@ -27,7 +27,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/model_audits.h"
 #include "analyze/tape_audit.h"
 #include "autograd/ops.h"
 #include "autograd/tape.h"
@@ -165,8 +164,7 @@ TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatchOne) {
 TEST(BatchEquiv, ScoreBatchBitIdenticalToScoreAllAtBatch4And16) {
   const ProcessedDataset& data = SmallData();
   int neural_checked = 0;
-  for (const analyze::ModelAuditSpec& spec : analyze::ModelAudits()) {
-    const std::string& name = spec.model;
+  for (const std::string& name : ZooModelNames()) {
     SCOPED_TRACE(name);
     std::unique_ptr<Recommender> model =
         CreateModel(name, data.num_items, data.num_operations, SmallConfig());
@@ -502,20 +500,14 @@ TEST(BatchEquiv, BatchedGraphsReturnLiveBytesToBaseline) {
   prof::Stop();
 }
 
-// Every zoo model's *batched* loss graph passes its registered tape audit
-// on a ragged 3-session batch: all parameters reach the loss (modulo each
-// variant's documented dead-parameter allowances), accumulation counts
-// match fan-out, no orphaned ops, every op node passes its shape rule — the
-// same structural bar the per-session graphs clear in graph_audit_test.cc.
+// Every zoo model's *batched* loss graph passes the tape audit on a ragged
+// 3-session batch: all parameters reach the loss, accumulation counts match
+// fan-out, no orphaned ops, every op node passes its shape rule — the same
+// structural bar the per-session graphs clear in graph_audit_test.cc.
 TEST(BatchEquiv, BatchedGraphPassesTapeAuditAcrossZoo) {
-  // Audit vocabulary (12 items / 4 operations) with a ragged trio:
-  // 3-item / 1-item / 5-item micro-behavior sessions.
-  Example e1;
-  e1.macro_items = {3, 7, 5};
-  e1.macro_ops = {{1}, {0, 2}, {1, 3}};
-  e1.flat_items = {3, 7, 7, 5, 5};
-  e1.flat_ops = {1, 0, 2, 1, 3};
-  e1.target = 9;
+  // The tiny zoo fixture (train/model_zoo.h) with a ragged trio:
+  // its 3-item session, then 1-item and 5-item micro-behavior sessions.
+  const Example e1 = TinyZooExample();
   Example e2;
   e2.macro_items = {5};
   e2.macro_ops = {{2}};
@@ -530,29 +522,25 @@ TEST(BatchEquiv, BatchedGraphPassesTapeAuditAcrossZoo) {
   e3.target = 11;
   const std::vector<const Example*> ptrs = {&e1, &e2, &e3};
 
-  TrainConfig cfg;
-  cfg.embedding_dim = 8;
-  cfg.max_positions = 16;
-  cfg.seed = 17;
-
   int neural_audited = 0;
-  for (const analyze::ModelAuditSpec& spec : analyze::ModelAudits()) {
-    SCOPED_TRACE(spec.model);
-    std::unique_ptr<Recommender> model = CreateModel(spec.model, 12, 4, cfg);
-    ASSERT_NE(model, nullptr) << spec.model;
+  for (const std::string& name : ZooModelNames()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = CreateTinyZooModel(name);
+    ASSERT_NE(model, nullptr) << name;
     auto* neural = dynamic_cast<NeuralSessionModel*>(model.get());
     if (neural == nullptr) continue;  // memory-based: no graph to audit
     ++neural_audited;
 
     neural->SetTraining(false);
     neural->ZeroGrad();
-    const SessionBatch batch = CollateSessions(ptrs, cfg.max_positions);
+    const SessionBatch batch =
+        CollateSessions(ptrs, TinyZooConfig().max_positions);
     ag::Tape tape;
     ag::Variable loss = neural->BatchedLossOn(batch);
     loss.Backward();
     const analyze::TapeAuditReport report =
-        AuditTape(loss, neural->NamedParameters(), tape, spec.options);
-    EXPECT_TRUE(report.ok()) << spec.model << ": " << report.ToString();
+        analyze::AuditTape(loss, neural->NamedParameters(), tape);
+    EXPECT_TRUE(report.ok()) << name << ": " << report.ToString();
     EXPECT_GT(report.stats.reachable_nodes, 0);
     EXPECT_GT(report.stats.shapes_checked, 0);
   }

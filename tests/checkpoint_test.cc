@@ -56,7 +56,7 @@ std::string Resealed(std::string bytes, size_t offset, T value) {
 }
 
 /// Hand-writes a format-v1 checkpoint (no flags word, no CRC) for `module`,
-/// byte-identical to what the pre-v2 code produced.
+/// byte-identical to what the pre-v2 code produced. No reader accepts v1.
 std::string SerializeV1(const nn::Module& module) {
   std::string buf;
   buf.append("EMBSRCKP", 8);
@@ -176,31 +176,20 @@ TEST(CheckpointTest, NullModuleIsInvalidArgument) {
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CheckpointTest, LegacyV1FileStillLoads) {
+TEST(CheckpointTest, V1FileIsRejectedAsUnsupportedVersion) {
   Rng rng(7);
   nn::Linear a(3, 2, &rng);
   nn::Linear b(3, 2, &rng);  // different init
+  const std::vector<float> before = b.Parameters()[0].value().vec();
   const std::string path = TempPath("legacy.ckpt");
   WriteAll(path, SerializeV1(a));
-  ASSERT_TRUE(nn::LoadCheckpoint(path, &b).ok());
-  const auto pa = a.NamedParameters();
-  const auto pb = b.NamedParameters();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_TRUE(pa[i].variable.value().AllClose(pb[i].variable.value(), 0.0f))
-        << pa[i].name;
-  }
-}
-
-TEST(CheckpointTest, LoadingStateFromV1IsFailedPrecondition) {
-  Rng rng(8);
-  nn::Linear a(2, 2, &rng);
-  const std::string path = TempPath("legacy_state.ckpt");
-  WriteAll(path, SerializeV1(a));
-  nn::TrainState state;
-  Status s = nn::LoadCheckpoint(path, &a, &state);
+  const Status s = nn::LoadCheckpoint(path, &b);
   ASSERT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(b.Parameters()[0].value().vec(), before);
 }
 
 TEST(CheckpointTest, TrainStateRoundTripsExactly) {

@@ -279,19 +279,6 @@ TEST(HealthGuardTest, RollbackEventsLandInCounterAndGauges) {
   EXPECT_EQ(strikes->value(), 0.0);
 }
 
-TEST(HealthGuardTest, ConfigFromEnv) {
-  setenv("EMBSR_HEALTH_MAX_STRIKES", "7", 1);
-  setenv("EMBSR_HEALTH_GRAD_LIMIT", "123.5", 1);
-  setenv("EMBSR_HEALTH_LR_BACKOFF", "0.25", 1);
-  const auto cfg = robust::HealthConfig::FromEnv();
-  EXPECT_EQ(cfg.max_strikes, 7);
-  EXPECT_DOUBLE_EQ(cfg.grad_limit, 123.5);
-  EXPECT_DOUBLE_EQ(cfg.lr_backoff, 0.25);
-  unsetenv("EMBSR_HEALTH_MAX_STRIKES");
-  unsetenv("EMBSR_HEALTH_GRAD_LIMIT");
-  unsetenv("EMBSR_HEALTH_LR_BACKOFF");
-}
-
 // ---------------------------------------------------------------------------
 // CheckpointManager
 

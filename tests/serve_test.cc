@@ -576,6 +576,56 @@ TEST(ServeTest, SnapshotWhoseMacroSectionsDisagreeWithItsRunIsRejected) {
   EXPECT_EQ(fresh.size(), 0u);
 }
 
+// A CRC-valid snapshot is not a trusted one: restored for a frontend, it
+// must hold only ids Submit would accept, or the first request on the
+// restored session indexes past the model's embedding tables.
+TEST(ServeTest, OutOfVocabularySnapshotIsRejectedAtLoad) {
+  FailpointEnvGuard guard;
+  const ProcessedDataset data = TinyData();
+  serve::PopularityScorer fallback;
+  ASSERT_TRUE(fallback.Fit(data).ok());
+  TrainConfig tc;
+  tc.embedding_dim = 8;
+  auto primary =
+      CreateModel("STAMP", data.num_items, data.num_operations, tc);
+  ASSERT_NE(primary, nullptr);
+  primary->EnsureEvalMode();
+  serve::ManualClock mc;
+  serve::ServeFrontend fe(TestConfig(), primary.get(), &fallback,
+                          mc.clock());
+  ASSERT_TRUE(fe.Submit(Req(1, 5, 2, 1)).ok());
+  ASSERT_TRUE(fe.ProcessNext().ok());
+  const std::string before = fe.store().Serialize();
+
+  // A bare store takes any id, so its snapshot is CRC-valid: session 7
+  // holds a valid event, then item 10 of the 10-item vocabulary, or then
+  // an operation equal to num_operations.
+  const std::string path = TempPath("serve_oov_snapshot.bin");
+  for (const MicroBehavior& bad :
+       {MicroBehavior{data.num_items, 0},
+        MicroBehavior{2, data.num_operations}}) {
+    serve::SessionStore source;
+    ASSERT_TRUE(source.ApplyEvent(7, MicroBehavior{3, 0}).ok());
+    ASSERT_TRUE(source.ApplyEvent(7, bad).ok());
+    ASSERT_TRUE(source.SaveSnapshot(path).ok());
+    const Status s = fe.LoadSnapshot(path);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    EXPECT_EQ(fe.store().Serialize(), before);
+  }
+
+  ASSERT_TRUE(fe.Submit(Req(2, 7, 4, 3)).ok());
+  auto r = fe.ProcessNext();
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().status.ok());
+  EXPECT_FALSE(r.value().degraded);
+  auto state = fe.store().Get(7);
+  ASSERT_TRUE(state.ok());
+  EXPECT_EQ(state.value()->flat_items, (std::vector<int64_t>{4}));
+  EXPECT_EQ(r.value().top_items,
+            TopKIndices(primary->ScoreAll(state.value()->ToExample()),
+                        TestConfig().top_k));
+}
+
 TEST(ServeTest, StoreEvictsLeastRecentlyTouchedSession) {
   serve::SessionStoreConfig cfg;
   cfg.max_sessions = 2;
@@ -692,7 +742,7 @@ TEST(ServeTest, SeededStreamServesWhatTheOfflinePipelineBuilds) {
       const std::string image = fe->store().Serialize();
       fe = std::make_unique<serve::ServeFrontend>(cfg, primary.get(),
                                                   &fallback, mc.clock());
-      ASSERT_TRUE(fe->store().LoadSnapshot(path).ok());
+      ASSERT_TRUE(fe->LoadSnapshot(path).ok());
       ASSERT_EQ(fe->store().Serialize(), image);
       mirror.RestartRecency();
     }
