@@ -99,10 +99,12 @@ for config in "${configs[@]}"; do
   # matches the suites from par_test, kernel_equiv_test, determinism_test,
   # obs_race_test, access_sentinel_test, graph_audit_test (whose zoo audit
   # brackets its own prof session around parallel-kernel forward/backward
-  # passes) and batch_equiv_test (the batched collator/forward/backward
-  # paths and the evaluator's chunk scheduling at forward batch 4 and 16).
+  # passes), batch_equiv_test (the batched collator/forward/backward
+  # paths and the evaluator's chunk scheduling at forward batch 4 and 16)
+  # and inference_test (no-grad scoring across the zoo at 1 and 4 lanes;
+  # its suites also match the third leg's `Autograd` prefix).
   if (cd "$build_dir" && EMBSR_THREADS=4 ctest --output-on-failure \
-        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv)\.' \
+        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?)\.' \
         2>&1 | tee "$par_log"); then
     echo "=== [$config threads=4] PASS"
   else

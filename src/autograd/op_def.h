@@ -25,6 +25,7 @@ enum class OpId {
   kScale,
   kAddScalar,
   kMatMul,
+  kScoreItems,
   kTranspose,
   kSigmoid,
   kTanh,
@@ -73,7 +74,8 @@ struct OpDef {
   /// "" when consistent, else a diagnostic. Where an attribute never
   /// reaches the node (slice bounds, gather indices, repeat counts) the
   /// rule checks every bound the attribute cannot break. Precondition: the
-  /// node recorded its parents (some input required grad).
+  /// node recorded its parents (some input required grad, and no
+  /// NoGradScope was open).
   std::string (*shape_rule)(const Node& node);
   /// Analytic forward cost on the node's shapes (DESIGN.md §13).
   prof::CostFn cost;

@@ -2,7 +2,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <iterator>
+#include <span>
 #include <sstream>
 
 #include "autograd/op_def.h"
@@ -19,7 +21,7 @@ namespace {
 /// cost, stamps the active component label on the node (so backward time
 /// lands in the same bucket) and records the forward gap.
 void ProfileForwardNode(prof::Collector* pc, Node* node,
-                        const std::vector<Variable>& inputs) {
+                        std::span<const Variable> inputs) {
   prof::ShapeInfo shapes;
   shapes.output = node->value.shape();
   shapes.inputs.reserve(inputs.size());
@@ -29,10 +31,10 @@ void ProfileForwardNode(prof::Collector* pc, Node* node,
   pc->RecordForward(node->def->name, node->component, cost);
 }
 
-/// Builds the output node. Records parents and the backward closure only when
-/// some input requires grad, so inference-only forward passes build no graph.
-Variable MakeOp(OpId id, Tensor value, std::vector<Variable> inputs,
-                std::function<void(Node*)> backward) {
+/// The op-independent half of MakeOp: builds, records and profiles the
+/// output node, with its parents only when it requires grad.
+std::shared_ptr<Node> NewOpNode(OpId id, Tensor value,
+                                std::span<const Variable> inputs) {
   // Contract: no op may produce NaN/Inf. Checking the single funnel point
   // catches a numeric blow-up at the op that created it rather than ten ops
   // downstream in the loss. (No-op unless EMBSR_CHECK_CONTRACTS.)
@@ -45,17 +47,39 @@ Variable MakeOp(OpId id, Tensor value, std::vector<Variable> inputs,
     EMBSR_CHECK(v.defined());
     rg = rg || v.node()->requires_grad;
   }
-  node->requires_grad = rg;
-  if (rg) {
+  node->requires_grad = rg && !NoGradScope::Active();
+  if (node->requires_grad) {
     node->parents.reserve(inputs.size());
-    for (auto& v : inputs) node->parents.push_back(v.node());
-    node->backward_fn = std::move(backward);
+    for (const auto& v : inputs) node->parents.push_back(v.node());
   }
   Tape::Record(node);
   if (prof::Collector* pc = prof::Collector::ActiveOrNull()) {
     ProfileForwardNode(pc, node.get(), inputs);
   }
-  return Variable::FromNode(node);
+  return node;
+}
+
+/// Builds the output node. The node requires grad when some input does and
+/// no NoGradScope is open; only then does it record its parents and turn
+/// `backward` (passed as its lambda type) into a std::function. An
+/// inference forward therefore allocates no closure and no parent list, and
+/// keeps no input alive past the op.
+template <typename Backward>
+Variable MakeOp(OpId id, Tensor value, std::span<const Variable> inputs,
+                Backward&& backward) {
+  std::shared_ptr<Node> node = NewOpNode(id, std::move(value), inputs);
+  if (node->requires_grad) {
+    node->backward_fn = std::forward<Backward>(backward);
+  }
+  return Variable::FromNode(std::move(node));
+}
+
+template <typename Backward>
+Variable MakeOp(OpId id, Tensor value, std::initializer_list<Variable> inputs,
+                Backward&& backward) {
+  return MakeOp(id, std::move(value),
+                std::span<const Variable>(inputs.begin(), inputs.size()),
+                std::forward<Backward>(backward));
 }
 
 void AccumIfNeeded(const std::shared_ptr<Node>& parent, const Tensor& g) {
@@ -189,6 +213,25 @@ Variable MatMul(const Variable& a, const Variable& b) {
                 });
 }
 
+Variable ScoreItems(const Variable& a, const Variable& b) {
+  auto an = a.node();
+  auto bn = b.node();
+  Tensor y = embsr::MatMulTransposedB(a.value(), b.value());
+  return MakeOp(OpId::kScoreItems, std::move(y), {a, b},
+                [an, bn](Node* out) {
+                  // The gradients MatMul(a, Transpose(b)) accumulates, from
+                  // the same kernels in the same order.
+                  if (an->requires_grad) {
+                    an->AccumulateGrad(embsr::MatMul(out->grad, bn->value));
+                  }
+                  if (bn->requires_grad) {
+                    bn->AccumulateGrad(
+                        embsr::MatMul(an->value.Transposed(), out->grad)
+                            .Transposed());
+                  }
+                });
+}
+
 Variable Transpose(const Variable& a) {
   auto an = a.node();
   return MakeOp(OpId::kTranspose, a.value().Transposed(), {a}, [an](Node* out) {
@@ -314,16 +357,17 @@ Variable StackRows(const std::vector<Variable>& rows) {
     std::memcpy(out.data() + i * d, rows[i].value().data(),
                 sizeof(float) * d);
   }
-  std::vector<std::shared_ptr<Node>> parents;
-  parents.reserve(rows.size());
-  for (const auto& r : rows) parents.push_back(r.node());
-  return MakeOp(OpId::kStackRows, std::move(out), rows, [parents, d](Node* o) {
-    for (size_t i = 0; i < parents.size(); ++i) {
-      if (!parents[i]->requires_grad) continue;
+  // The backward reads the rows from the node's own parent list, which
+  // MakeOp records (in row order) only when the output requires grad.
+  return MakeOp(OpId::kStackRows, std::move(out),
+                std::span<const Variable>(rows), [](Node* o) {
+    for (size_t i = 0; i < o->parents.size(); ++i) {
+      Node* p = o->parents[i].get();
+      if (!p->requires_grad) continue;
       Tensor g = o->grad.SliceRows(static_cast<int64_t>(i),
                                    static_cast<int64_t>(i) + 1);
       // lint: allow(raw-resize): same-count rank fixup, copies
-      parents[i]->AccumulateGrad(g.Reshape(parents[i]->value.shape()));
+      p->AccumulateGrad(g.Reshape(p->value.shape()));
     }
   });
 }
@@ -518,7 +562,8 @@ Variable LayerNormRows(const Variable& a, float eps) {
     }
   }
   auto an = a.node();
-  return MakeOp(OpId::kLayerNormRows, std::move(y), {a}, [an, inv_std, n, d](Node* out) {
+  return MakeOp(OpId::kLayerNormRows, std::move(y), {a},
+                [an, inv_std = std::move(inv_std), n, d](Node* out) {
     if (!an->requires_grad) return;
     Tensor ga({n, d});
     for (int64_t i = 0; i < n; ++i) {
@@ -552,7 +597,8 @@ Variable Dropout(const Variable& a, float p, bool training, Rng* rng) {
   }
   Tensor out = embsr::Mul(a.value(), mask);
   auto an = a.node();
-  return MakeOp(OpId::kDropout, std::move(out), {a}, [an, mask](Node* o) {
+  return MakeOp(OpId::kDropout, std::move(out), {a},
+                [an, mask = std::move(mask)](Node* o) {
     AccumIfNeeded(an, embsr::Mul(o->grad, mask));
   });
 }
@@ -574,7 +620,7 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
   loss /= n;
   auto ln = logits.node();
   return MakeOp(OpId::kSoftmaxCrossEntropy, Tensor::Scalar(static_cast<float>(loss)), {logits},
-                [ln, probs, targets, n, c](Node* out) {
+                [ln, probs = std::move(probs), targets, n, c](Node* out) {
                   if (!ln->requires_grad) return;
                   const float g0 = out->grad.at(0) / static_cast<float>(n);
                   Tensor ga = probs;
@@ -701,6 +747,18 @@ std::string MatMulShape(const Node& n) {
   if (In(n, 0)[1] != In(n, 1)[0]) return Fail(n, "inner dimensions must agree");
   if (Out(n) != Shape{In(n, 0)[0], In(n, 1)[1]}) {
     return Fail(n, "output must be [input 0 rows, input 1 cols]");
+  }
+  return "";
+}
+
+std::string ScoreItemsShape(const Node& n) {  // [n, k] x [m, k]^T
+  if (std::string e = WantArity(n, 2); !e.empty()) return e;
+  if (!Rank2(In(n, 0)) || !Rank2(In(n, 1))) {
+    return Fail(n, "both inputs must be rank 2");
+  }
+  if (In(n, 0)[1] != In(n, 1)[1]) return Fail(n, "row widths must agree");
+  if (Out(n) != Shape{In(n, 0)[0], In(n, 1)[0]}) {
+    return Fail(n, "output must be [input 0 rows, input 1 rows]");
   }
   return "";
 }
@@ -899,8 +957,8 @@ OpCost TranscendentalCost(const ShapeInfo& s) {
   return {4.0 * OutElems(s), kB * InElems(s, 0), kB * OutElems(s)};
 }
 
-// MatMul [n,k]x[k,m]: 2nkm flops (n*k input elements each fused
-// multiply-added across the m output columns).
+// MatMul [n,k]x[k,m] and ScoreItems [n,k]x[m,k]^T: 2nkm flops (n*k input
+// elements each fused multiply-added across the m output columns).
 OpCost MatMulCost(const ShapeInfo& s) {
   return {2.0 * InElems(s, 0) * OutLastDim(s), kB * AllInElems(s),
           kB * OutElems(s)};
@@ -1008,6 +1066,9 @@ constexpr OpDef kOpTable[] = {
     {OpId::kMatMul, "MatMul", MatMulShape, MatMulCost,
      {[](Rng* r) -> Tensors { return {Rand({3, 4}, r), Rand({4, 2}, r)}; },
       [](const Leaves& l) { return MatMul(l[0], l[1]); }}},
+    {OpId::kScoreItems, "ScoreItems", ScoreItemsShape, MatMulCost,
+     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r), Rand({5, 4}, r)}; },
+      [](const Leaves& l) { return ScoreItems(l[0], l[1]); }}},
     {OpId::kTranspose, "Transpose", TransposeShape, CopyInputCost,
      {Matrix, [](const Leaves& l) { return Transpose(l[0]); }}},
     {OpId::kSigmoid, "Sigmoid", SameAsInput, TranscendentalCost,

@@ -33,6 +33,11 @@ Variable Neg(const Variable& a);
 
 /// [n, k] x [k, m] -> [n, m].
 Variable MatMul(const Variable& a, const Variable& b);
+/// Scores every row of `b` against every row of `a`: [n, k] x [m, k]^T ->
+/// [n, m], the decode of session representations `a` against an item table
+/// `b`. Bitwise equal to MatMul(a, Transpose(b)), forward and backward,
+/// without materializing the [k, m] transpose.
+Variable ScoreItems(const Variable& a, const Variable& b);
 /// Matrix transpose (rank 2).
 Variable Transpose(const Variable& a);
 

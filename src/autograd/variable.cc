@@ -14,6 +14,8 @@ namespace ag {
 
 namespace {
 
+thread_local int t_no_grad_depth = 0;
+
 std::vector<Node*> BackwardPostOrder(const Variable& root) {
   // Iterative post-order DFS over requires_grad parents: a reverse
   // topological order. Backward() executes it back-to-front so each node's
@@ -99,6 +101,9 @@ void Variable::Backward() const {
   backward_calls->Increment();
 
   EMBSR_CHECK(defined());
+  EMBSR_CHECK_MSG(!NoGradScope::Active(),
+                  "Backward() inside an active ag::NoGradScope: ops built "
+                  "under it record no graph, so nothing would be trained");
   EMBSR_CHECK_MSG(node_->value.size() == 1,
                   "Backward() requires a scalar root, got %s",
                   node_->value.ShapeString().c_str());
@@ -134,6 +139,12 @@ Variable Variable::FromNode(std::shared_ptr<Node> node) {
 }
 
 Variable Constant(Tensor value) { return Variable(std::move(value), false); }
+
+NoGradScope::NoGradScope() { ++t_no_grad_depth; }
+
+NoGradScope::~NoGradScope() { --t_no_grad_depth; }
+
+bool NoGradScope::Active() { return t_no_grad_depth > 0; }
 
 }  // namespace ag
 }  // namespace embsr

@@ -21,9 +21,11 @@ struct Node {
   Tensor grad;
   bool grad_ready = false;
   bool requires_grad = false;
-  /// Parents in the computation graph (inputs of the op that produced this).
+  /// Parents in the computation graph (inputs of the op that produced
+  /// this). Empty for leaves and for nodes that do not require grad.
   std::vector<std::shared_ptr<Node>> parents;
-  /// Propagates this node's grad into its parents' grads. Null for leaves.
+  /// Propagates this node's grad into its parents' grads. Null for leaves
+  /// and for nodes that do not require grad.
   std::function<void(Node*)> backward_fn;
   /// Table entry (op_def.h) of the op that produced this node; null for
   /// Variables built directly (parameters, constants).
@@ -71,7 +73,7 @@ class Variable {
 
   /// Runs backpropagation from this variable, which must be a scalar.
   /// Seeds d(self)/d(self) = 1 and accumulates into every reachable leaf
-  /// with requires_grad set.
+  /// with requires_grad set. Aborts inside an active NoGradScope.
   void Backward() const;
 
   /// Shape helpers forwarded to the value tensor.
@@ -89,6 +91,24 @@ class Variable {
 
 /// Makes a non-differentiable constant variable.
 Variable Constant(Tensor value);
+
+/// Inference mode for the current thread. While any scope is open, every op
+/// builds a node with requires_grad false and records no parents and no
+/// backward closure, whatever its inputs, so each intermediate is freed as
+/// soon as its last Variable handle goes. Forward values are unchanged.
+/// Scopes nest (a depth count) and are thread-local, like a Tape; an
+/// evaluator thread opens its own. Backward() inside a scope is an error.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+  /// True while a NoGradScope is open on this thread.
+  static bool Active();
+};
 
 }  // namespace ag
 }  // namespace embsr

@@ -367,7 +367,7 @@ Variable EmbsrModel::DecodeRepr(const Variable& m) {
   // Normalized scoring (Eq. 19).
   Variable m_hat = Scale(L2NormalizeRowsOp(m), cfg_.wk);
   Variable items_norm = L2NormalizeRowsOp(items_.table());
-  return MatMul(m_hat, Transpose(items_norm));
+  return ScoreItems(m_hat, items_norm);
 }
 
 Variable EmbsrModel::BatchedLogits(const SessionBatch& batch) {

@@ -49,7 +49,7 @@ Variable SrGnn::Logits(const Example& ex) {
   h = ggnn_.Forward(h, adj.a_in, adj.a_out);
   Variable states = NodesToSequence(h, adj.alias);
   Variable rep = readout_.Forward(states);
-  return MatMul(rep, Transpose(items_.table()));
+  return ScoreItems(rep, items_.table());
 }
 
 // -- GC-SAN ---------------------------------------------------------------------
@@ -87,7 +87,7 @@ Variable GcSan::Logits(const Example& ex) {
   }
   Variable e_f = Row(x, t - 1);
   Variable rep = Add(Scale(e_f, omega_), Scale(h_last, 1.0f - omega_));
-  return MatMul(rep, Transpose(items_.table()));
+  return ScoreItems(rep, items_.table());
 }
 
 // -- MKM-SR ---------------------------------------------------------------------
@@ -125,7 +125,7 @@ Variable MkmSr::Logits(const Example& ex) {
   Variable op_rep = op_gru_.ForwardLast(ops_.Forward(flat_ops));
 
   Variable rep = combine_.Forward(ConcatCols(item_rep, op_rep));
-  return MatMul(rep, Transpose(items_.table()));
+  return ScoreItems(rep, items_.table());
 }
 
 // -- SGNN-HN --------------------------------------------------------------------
@@ -225,7 +225,7 @@ Variable SgnnHn::Logits(const Example& ex) {
   // NISER-style normalized scoring.
   Variable m_hat = Scale(L2NormalizeRowsOp(rep), wk_);
   Variable items_norm = L2NormalizeRowsOp(items_.table());
-  return MatMul(m_hat, Transpose(items_norm));
+  return ScoreItems(m_hat, items_norm);
 }
 
 }  // namespace embsr

@@ -340,6 +340,11 @@ ag::Variable NeuralSessionModel::BatchedLossOn(const SessionBatch& batch) {
 std::vector<std::vector<float>> NeuralSessionModel::ScoreBatch(
     const std::vector<const Example*>& examples) {
   EMBSR_TIMED_SPAN("model/score_all", "model/score_all_ms");
+  // Scoring never runs backward, so it records no graph: every op's node
+  // holds no parents and no closure, and each session's intermediates are
+  // freed as the forward moves past them instead of living until the
+  // logits die. Forward values are unchanged (BatchEquiv pins them).
+  ag::NoGradScope no_grad;
   // Inference has no StepScope; re-origin the forward gap here so time
   // spent between scoring calls is never attributed to the first op.
   prof::Collector::MarkThisThread();

@@ -20,8 +20,8 @@ namespace embsr {
 /// provides the training loop (Adam, step-decay LR, gradient accumulation
 /// over mini-batches of TrainConfig::forward_batch-session chunks,
 /// global-norm clipping, best-on-validation checkpointing) and
-/// inference-mode scoring. The single-session entry points (ScoreAll,
-/// LossOn) are one-session batches.
+/// inference-mode scoring without a backward graph. The single-session
+/// entry points (ScoreAll, LossOn) are one-session batches.
 class NeuralSessionModel : public Recommender, public nn::Module {
  public:
   NeuralSessionModel(std::string name, int64_t num_items,
@@ -52,7 +52,11 @@ class NeuralSessionModel : public Recommender, public nn::Module {
   /// Scores every session of `examples` through one batched forward
   /// (eval-mode logits, row per session). In eval mode this is a pure read
   /// of parameters, so evaluator threads may score disjoint batches
-  /// concurrently.
+  /// concurrently. The forward runs under an ag::NoGradScope: it records no
+  /// parents and no backward closures, so each session's intermediates are
+  /// freed as the forward moves on, and its scores are bitwise the logits
+  /// LossOn records with the graph on. Every scoring path (ScoreAll,
+  /// validation, Evaluate, serving) comes through here.
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<const Example*>& examples);
 

@@ -56,7 +56,9 @@ class Recommender {
   /// Thread-safety contract: after EnsureEvalMode() returns, concurrent
   /// ScoreAll calls from multiple threads must be safe — the evaluator
   /// fans examples out across the par:: pool. In practice this means the
-  /// scoring path must be read-only on model state.
+  /// scoring path must be read-only on model state. Scoring is inference
+  /// only: neural models run it under ag::NoGradScope and build no
+  /// backward graph.
   virtual std::vector<float> ScoreAll(const Example& ex) = 0;
 
   /// Pins the model into evaluation mode so that subsequent ScoreAll calls

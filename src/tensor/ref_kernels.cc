@@ -129,6 +129,31 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
+  EMBSR_CHECK_EQ(a.ndim(), 2);
+  EMBSR_CHECK_EQ(b.ndim(), 2);
+  EMBSR_CHECK_EQ(a.dim(1), b.dim(1));
+  const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(0);
+  Tensor out({n, m});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  // One dot product per output element, k ascending, skipping zeros of a:
+  // MatMul's per-element order, written without any packing.
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = 0; j < m; ++j) {
+      float acc = 0.0f;
+      for (int64_t kk = 0; kk < k; ++kk) {
+        const float av = pa[i * k + kk];
+        if (av == 0.0f) continue;
+        acc += av * pb[j * k + kk];
+      }
+      po[i * m + j] = acc;
+    }
+  }
+  return out;
+}
+
 Tensor SumAll(const Tensor& a) {
   double acc = 0.0;
   for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i];

@@ -32,6 +32,7 @@ Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor MatMul(const Tensor& a, const Tensor& b);
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor SumAll(const Tensor& a);
 Tensor SumRowsTo1xD(const Tensor& a);
 Tensor SumColsToNx1(const Tensor& a);

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "par/access_check.h"
 #include "par/thread_pool.h"
@@ -436,6 +437,59 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
           if (av == 0.0f) continue;
           const float* brow = pb + kk * m;
           for (int64_t j = jb; j < je; ++j) orow[j] += av * brow[j];
+        }
+      }
+    }
+  });
+  return out;
+}
+
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
+  EMBSR_CHECK_EQ(a.ndim(), 2);
+  EMBSR_CHECK_EQ(b.ndim(), 2);
+  EMBSR_CHECK_EQ(a.dim(1), b.dim(1));
+  const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(0);
+  Tensor out({n, m});
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out.data();
+  // Row-parallel like MatMul, with MatMul's 64-wide column tiles. A chunk
+  // packs the 64 rows of b behind one tile into a [k, 64] panel (the slice
+  // of b^T MatMul would read), then sweeps its rows of a over the panel
+  // with MatMul's inner loop. Every out[i][j] accumulates av * b[j][kk] for
+  // kk ascending, skipping av == 0, so the result is bit-identical to
+  // MatMul(a, b.Transposed()) and to the serial ref:: kernel at every
+  // thread count. The panel is per thread and stays cache-resident.
+  constexpr int64_t kTile = 64;
+  const int64_t grain =
+      std::max<int64_t>(1, kMatMulGrainFlops / std::max<int64_t>(1, k * m));
+  par::ForChecked(
+      "MatMulTransposedB", 0, n, grain,
+      [&](int64_t lo, int64_t hi, par::AccessSet* acc) {
+        acc->Write(po, lo * m, hi * m);
+        acc->Read(pa, lo * k, hi * k);
+        acc->Read(pb, 0, m * k);  // every chunk packs all of b
+      },
+      [&](int64_t lo, int64_t hi) {
+    thread_local std::vector<float> panel_buf;
+    if (panel_buf.size() < static_cast<size_t>(k * kTile)) {
+      panel_buf.resize(static_cast<size_t>(k * kTile));
+    }
+    float* panel = panel_buf.data();
+    for (int64_t jb = 0; jb < m; jb += kTile) {
+      const int64_t w = std::min<int64_t>(kTile, m - jb);
+      for (int64_t j = 0; j < w; ++j) {
+        const float* brow = pb + (jb + j) * k;
+        for (int64_t kk = 0; kk < k; ++kk) panel[kk * w + j] = brow[kk];
+      }
+      for (int64_t i = lo; i < hi; ++i) {
+        const float* arow = pa + i * k;
+        float* orow = po + i * m + jb;
+        for (int64_t kk = 0; kk < k; ++kk) {
+          const float av = arow[kk];
+          if (av == 0.0f) continue;
+          const float* prow = panel + kk * w;
+          for (int64_t j = 0; j < w; ++j) orow[j] += av * prow[j];
         }
       }
     }

@@ -178,6 +178,12 @@ Tensor Relu(const Tensor& a);
 /// [n, k] x [k, m] -> [n, m].
 Tensor MatMul(const Tensor& a, const Tensor& b);
 
+/// [n, k] x [m, k]^T -> [n, m]: every row of `a` against every row of `b`.
+/// Bitwise equal to MatMul(a, b.Transposed()) without building the
+/// transpose: each element sums over k ascending with MatMul's zero-skip
+/// on `a`.
+Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
+
 /// Sum of all elements as a scalar tensor.
 Tensor SumAll(const Tensor& a);
 /// Column sums: [n, d] -> [1, d].

@@ -184,6 +184,37 @@ TEST_F(KernelEquivTest, MatMulRaggedShapes) {
   }
 }
 
+// [n, k] x [m, k]^T: item counts m on both sides of every 64-wide panel
+// edge (63/64/65, 127/128/129 and a ragged 300), with one-row and
+// multi-chunk row counts, a quarter of A zeroed for the zero-skip. Besides
+// its ref:: oracle, the kernel must equal MatMul on the transposed table
+// bitwise, which is what lets the model decodes use it in place of
+// MatMul(rep, Transpose(table)).
+TEST_F(KernelEquivTest, MatMulTransposedBAcrossPanelEdges) {
+  EMBSR_KERNEL_EQUIV(MatMulTransposedB);
+  struct Shape3 {
+    int64_t n, k, m;
+  };
+  const std::vector<Shape3> shapes = {
+      {1, 1, 1},    {1, 100, 63}, {1, 100, 64},  {1, 100, 65},
+      {3, 17, 127}, {16, 8, 128}, {7, 33, 129},  {65, 64, 300},
+      {129, 5, 66}, {2, 97, 1},
+  };
+  for (const auto& s : shapes) {
+    Tensor a = Tensor::RandUniform({s.n, s.k}, -1.0f, 1.0f, &rng_);
+    const Tensor b = Tensor::RandUniform({s.m, s.k}, -1.0f, 1.0f, &rng_);
+    for (int64_t i = 0; i < a.size(); i += 4) a.at(i) = 0.0f;
+    const std::string tag = "MatMulTransposedB " + std::to_string(s.n) +
+                            "x" + std::to_string(s.k) + "x" +
+                            std::to_string(s.m);
+    const Tensor oracle = tensor::ref::MatMulTransposedB(a, b);
+    ExpectBitIdentical(tensor::ref::MatMul(a, b.Transposed()), oracle,
+                       tag + " vs MatMul on the transpose");
+    CheckAtAllThreadCounts(oracle, [&] { return MatMulTransposedB(a, b); },
+                           tag);
+  }
+}
+
 // -- Reductions -----------------------------------------------------------------
 
 TEST_F(KernelEquivTest, Reductions) {

@@ -3,7 +3,7 @@
 //
 // Every op's cost function lives in its ag::OpTable entry, so cost coverage
 // is structural (OpTable.* in autograd_test runs each one on real shapes).
-//  - CostModelPins checks two of them against hand-computed values.
+//  - CostModelPins checks three of them against hand-computed values.
 //  - ProfAttribution pins the gap-based accounting: with profiling on,
 //    per-op forward+backward time summed over the snapshot must land
 //    within 10% of the enclosing StepScope spans.
@@ -36,6 +36,19 @@ TEST(CostModelPins, MatMulAgainstHandComputedValues) {
   s.inputs = {{3, 4}, {4, 5}};
   s.output = {3, 5};
   const prof::OpCost c = CostFor(ag::OpId::kMatMul, s);
+  EXPECT_DOUBLE_EQ(c.flops, 120.0);
+  EXPECT_DOUBLE_EQ(c.bytes_read, 128.0);
+  EXPECT_DOUBLE_EQ(c.bytes_written, 60.0);
+}
+
+TEST(CostModelPins, ScoreItemsAgainstHandComputedValues) {
+  // [3,4] x [5,4]^T -> [3,5]: the same 2*n*k*m = 120 flops as the MatMul
+  // it replaces; reads a and the item table (12+20 floats = 128 bytes),
+  // writes 15 floats = 60 bytes. No transpose is charged.
+  prof::ShapeInfo s;
+  s.inputs = {{3, 4}, {5, 4}};
+  s.output = {3, 5};
+  const prof::OpCost c = CostFor(ag::OpId::kScoreItems, s);
   EXPECT_DOUBLE_EQ(c.flops, 120.0);
   EXPECT_DOUBLE_EQ(c.bytes_read, 128.0);
   EXPECT_DOUBLE_EQ(c.bytes_written, 60.0);
