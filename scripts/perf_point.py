@@ -6,9 +6,10 @@
 Run from a full checkout with no EMBSR_* variable set. For each workload in
 BENCHMARK.json and each seed, runs `perfbench/run.py --trace 0` at the
 benchmark's run_seconds, one run after another. Then appends one JSON line:
-the commit (and whether the tree had uncommitted changes), the seeds, and
-per workload each end-to-end metric's median, Q1 and Q3 across seeds plus
-the operations attempted and failed, to --out (default
+the commit (and whether the tree had uncommitted changes), the seeds, per
+workload each end-to-end metric's median, Q1 and Q3 across seeds plus the
+operations attempted and failed, and the line totals of the tracked files
+under src/, tests/ and scripts/, to --out (default
 bench_history/perfbench.jsonl). A failed run aborts without writing.
 The benchmark's own gate judges regressions; this script only records.
 """
@@ -30,6 +31,19 @@ from spread import seed_range  # noqa: E402
 def git(*args):
     return subprocess.run(["git", *args], cwd=ROOT, stdout=subprocess.PIPE,
                           text=True, check=True).stdout.strip()
+
+
+def line_totals():
+    """Lines of the tracked files under each of src/, tests/ and scripts/,
+    as they stand in the working tree (so a dirty point counts its diff)."""
+    totals = {}
+    for top in ("src", "tests", "scripts"):
+        lines = 0
+        for path in git("ls-files", "--", top).splitlines():
+            with open(os.path.join(ROOT, path), "rb") as f:
+                lines += f.read().count(b"\n")
+        totals[top] = lines
+    return totals
 
 
 def main():
@@ -72,7 +86,7 @@ def main():
     dirty = git("status", "--porcelain", "--untracked-files=no")
     point = {"commit": git("rev-parse", "HEAD"), "dirty": bool(dirty),
              "seeds": args.seeds, "run_seconds": bench["run_seconds"],
-             "workloads": workloads}
+             "workloads": workloads, "lines": line_totals()}
     with open(args.out, "a") as f:
         f.write(json.dumps(point, sort_keys=True) + "\n")
     print(f"appended to {args.out}")

@@ -100,11 +100,13 @@ for config in "${configs[@]}"; do
   # obs_race_test, access_sentinel_test, graph_audit_test (whose zoo audit
   # brackets its own prof session around parallel-kernel forward/backward
   # passes), batch_equiv_test (the batched collator/forward/backward
-  # paths and the evaluator's chunk scheduling at forward batch 4 and 16)
-  # and inference_test (no-grad scoring across the zoo at 1 and 4 lanes;
-  # its suites also match the third leg's `Autograd` prefix).
+  # paths and the evaluator's chunk scheduling at forward batch 4 and 16),
+  # inference_test (no-grad scoring across the zoo at 1 and 4 lanes;
+  # its suites also match the third leg's `Autograd` prefix) and
+  # graph_test's MultigraphMessageSum (EMBSR's segment-sum message
+  # aggregation against the dense scatter MatMul, at 1 and 4 lanes).
   if (cd "$build_dir" && EMBSR_THREADS=4 ctest --output-on-failure \
-        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?)\.' \
+        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?|MultigraphMessageSum)\.' \
         2>&1 | tee "$par_log"); then
     echo "=== [$config threads=4] PASS"
   else

@@ -13,11 +13,10 @@
 namespace embsr {
 namespace ag {
 
-/// One value per op in ops.h that builds a graph node. Neg, Row, RowSoftmax
-/// and MeanRowsTo1xD lower to other ops, so they have no value here.
+/// One value per op in ops.h that builds a graph node. Neg, Row and
+/// MeanRowsTo1xD lower to other ops, so they have no value here.
 enum class OpId {
   kAdd,
-  kSub,
   kMul,
   kAddRowBroadcast,
   kMulRowBroadcast,
@@ -30,8 +29,6 @@ enum class OpId {
   kSigmoid,
   kTanh,
   kRelu,
-  kExp,
-  kLog,
   kConcatCols,
   kConcatRows,
   kStackRows,
@@ -42,7 +39,6 @@ enum class OpId {
   kRowSoftmaxMasked,
   kSumAll,
   kSumRowsTo1xD,
-  kSumColsToNx1,
   kRepeatRow,
   kL2NormalizeRowsOp,
   kLayerNormRows,

@@ -98,16 +98,6 @@ Variable Add(const Variable& a, const Variable& b) {
                 });
 }
 
-Variable Sub(const Variable& a, const Variable& b) {
-  auto an = a.node();
-  auto bn = b.node();
-  return MakeOp(OpId::kSub, embsr::Sub(a.value(), b.value()), {a, b},
-                [an, bn](Node* out) {
-                  AccumIfNeeded(an, out->grad);
-                  AccumIfNeeded(bn, embsr::Neg(out->grad));
-                });
-}
-
 Variable Mul(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
@@ -204,7 +194,7 @@ Variable MatMul(const Variable& a, const Variable& b) {
                 [an, bn](Node* out) {
                   if (an->requires_grad) {
                     an->AccumulateGrad(
-                        embsr::MatMul(out->grad, bn->value.Transposed()));
+                        embsr::MatMulTransposedB(out->grad, bn->value));
                   }
                   if (bn->requires_grad) {
                     bn->AccumulateGrad(
@@ -276,28 +266,6 @@ Variable Relu(const Variable& a) {
     for (int64_t i = 0; i < g.size(); ++i) {
       if (px[i] <= 0.0f) pg[i] = 0.0f;
     }
-    an->AccumulateGrad(g);
-  });
-}
-
-Variable Exp(const Variable& a) {
-  Tensor y = embsr::Exp(a.value());
-  auto an = a.node();
-  return MakeOp(OpId::kExp, y, {a}, [an](Node* out) {
-    if (!an->requires_grad) return;
-    an->AccumulateGrad(embsr::Mul(out->grad, out->value));
-  });
-}
-
-Variable Log(const Variable& a) {
-  Tensor y = embsr::Log(a.value());
-  auto an = a.node();
-  return MakeOp(OpId::kLog, y, {a}, [an](Node* out) {
-    if (!an->requires_grad) return;
-    Tensor g = out->grad;
-    const float* px = an->value.data();
-    float* pg = g.data();
-    for (int64_t i = 0; i < g.size(); ++i) pg[i] /= px[i];
     an->AccumulateGrad(g);
   });
 }
@@ -452,10 +420,6 @@ Variable RowSoftmaxMasked(const Variable& a, const Tensor& mask) {
   });
 }
 
-Variable RowSoftmax(const Variable& a) {
-  return RowSoftmaxMasked(a, Tensor::Ones(a.value().shape()));
-}
-
 Variable SumAll(const Variable& a) {
   auto an = a.node();
   return MakeOp(OpId::kSumAll, embsr::SumAll(a.value()), {a}, [an](Node* out) {
@@ -472,20 +436,6 @@ Variable SumRowsTo1xD(const Variable& a) {
     Tensor ga({n, d});
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(ga.data() + i * d, out->grad.data(), sizeof(float) * d);
-    }
-    an->AccumulateGrad(ga);
-  });
-}
-
-Variable SumColsToNx1(const Variable& a) {
-  auto an = a.node();
-  return MakeOp(OpId::kSumColsToNx1, embsr::SumColsToNx1(a.value()), {a}, [an](Node* out) {
-    if (!an->requires_grad) return;
-    const int64_t n = an->value.dim(0), d = an->value.dim(1);
-    Tensor ga({n, d});
-    for (int64_t i = 0; i < n; ++i) {
-      const float g = out->grad.data()[i];
-      for (int64_t j = 0; j < d; ++j) ga.data()[i * d + j] = g;
     }
     an->AccumulateGrad(ga);
   });
@@ -895,15 +845,6 @@ std::string SumRowsTo1xDShape(const Node& n) {  // [n, d] -> [1, d]
   return "";
 }
 
-std::string SumColsToNx1Shape(const Node& n) {  // [n, d] -> [n, 1]
-  if (std::string e = WantArity(n, 1); !e.empty()) return e;
-  if (!Rank2(In(n, 0))) return Fail(n, "input must be rank 2");
-  if (Out(n) != Shape{In(n, 0)[0], 1}) {
-    return Fail(n, "output must be [input rows, 1]");
-  }
-  return "";
-}
-
 std::string SoftmaxCrossEntropyShape(const Node& n) {
   if (std::string e = WantArity(n, 1); !e.empty()) return e;
   if (!Rank2(In(n, 0))) return Fail(n, "logits must be rank 2");
@@ -1045,8 +986,6 @@ Tensors OneRow(Rng* r) { return {Rand({1, 4}, r)}; }
 constexpr OpDef kOpTable[] = {
     {OpId::kAdd, "Add", SameShapeBinary, ElementwiseCost,
      {TwoMatrices, [](const Leaves& l) { return Add(l[0], l[1]); }}},
-    {OpId::kSub, "Sub", SameShapeBinary, ElementwiseCost,
-     {TwoMatrices, [](const Leaves& l) { return Sub(l[0], l[1]); }}},
     {OpId::kMul, "Mul", SameShapeBinary, ElementwiseCost,
      {TwoMatrices, [](const Leaves& l) { return Mul(l[0], l[1]); }}},
     {OpId::kAddRowBroadcast, "AddRowBroadcast", RowBroadcast, ElementwiseCost,
@@ -1080,11 +1019,6 @@ constexpr OpDef kOpTable[] = {
     {OpId::kRelu, "Relu", SameAsInput, UnaryCost,
      {[](Rng* r) -> Tensors { return {RandAwayFromZero({3, 4}, r)}; },
       [](const Leaves& l) { return Relu(l[0]); }}},
-    {OpId::kExp, "Exp", SameAsInput, TranscendentalCost,
-     {Matrix, [](const Leaves& l) { return Exp(l[0]); }}},
-    {OpId::kLog, "Log", SameAsInput, TranscendentalCost,
-     {[](Rng* r) -> Tensors { return {Rand({3, 4}, r, 0.5f, 2.0f)}; },
-      [](const Leaves& l) { return Log(l[0]); }}},
     {OpId::kConcatCols, "ConcatCols", ConcatColsShape, ConcatCost,
      {[](Rng* r) -> Tensors { return {Rand({3, 2}, r), Rand({3, 3}, r)}; },
       [](const Leaves& l) { return ConcatCols(l[0], l[1]); }}},
@@ -1131,8 +1065,6 @@ constexpr OpDef kOpTable[] = {
      {Matrix, [](const Leaves& l) { return SumAll(l[0]); }}},
     {OpId::kSumRowsTo1xD, "SumRowsTo1xD", SumRowsTo1xDShape, ReduceCost,
      {Matrix, [](const Leaves& l) { return SumRowsTo1xD(l[0]); }}},
-    {OpId::kSumColsToNx1, "SumColsToNx1", SumColsToNx1Shape, ReduceCost,
-     {Matrix, [](const Leaves& l) { return SumColsToNx1(l[0]); }}},
     {OpId::kRepeatRow, "RepeatRow", RepeatRowShape, CopyInputCost,
      {OneRow, [](const Leaves& l) { return RepeatRow(l[0], 3); }}},
     // Rows bounded away from zero norm: the op leaves zero rows zero, a

@@ -10,14 +10,13 @@ namespace embsr {
 namespace ag {
 
 /// Differentiable operations. Every function builds one node in the
-/// computation graph (Neg, Row, RowSoftmax and MeanRowsTo1xD build the node
-/// of the op they lower to); gradients flow to any input with requires_grad
-/// set. Each node-building op has one entry in ag::OpTable() (op_def.h).
+/// computation graph (Neg, Row and MeanRowsTo1xD build the node of the op
+/// they lower to); gradients flow to any input with requires_grad set.
+/// Each node-building op has one entry in ag::OpTable() (op_def.h).
 /// Shape contracts mirror the kernels in tensor/tensor.h.
 
 // Elementwise; shapes must match.
 Variable Add(const Variable& a, const Variable& b);
-Variable Sub(const Variable& a, const Variable& b);
 Variable Mul(const Variable& a, const Variable& b);
 
 /// a: [n, d]; row: [1, d] (or rank-1 [d]); adds row to every row of a.
@@ -44,9 +43,6 @@ Variable Transpose(const Variable& a);
 Variable Sigmoid(const Variable& a);
 Variable Tanh(const Variable& a);
 Variable Relu(const Variable& a);
-Variable Exp(const Variable& a);
-/// Natural log; caller guarantees strictly positive inputs.
-Variable Log(const Variable& a);
 
 /// [n, d1] ++ [n, d2] -> [n, d1+d2].
 Variable ConcatCols(const Variable& a, const Variable& b);
@@ -80,14 +76,11 @@ Variable SegmentSumRows(const Variable& a,
 /// Row-wise softmax. `mask` (same shape, 0/1) marks valid entries; fully
 /// masked rows come out as all-zero. Pass an all-ones mask for plain softmax.
 Variable RowSoftmaxMasked(const Variable& a, const Tensor& mask);
-Variable RowSoftmax(const Variable& a);
 
 /// Scalar sum of all elements.
 Variable SumAll(const Variable& a);
 /// Column sums: [n, d] -> [1, d].
 Variable SumRowsTo1xD(const Variable& a);
-/// Row sums: [n, d] -> [n, 1].
-Variable SumColsToNx1(const Variable& a);
 /// Column means: [n, d] -> [1, d].
 Variable MeanRowsTo1xD(const Variable& a);
 

@@ -1,6 +1,5 @@
 #include "core/embsr_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "graph/session_graph.h"
@@ -10,26 +9,6 @@
 namespace embsr {
 
 using ag::Variable;
-
-namespace {
-
-template <typename T>
-std::vector<T> Tail(const std::vector<T>& v, size_t max_len) {
-  if (v.size() <= max_len) return v;
-  return std::vector<T>(v.end() - max_len, v.end());
-}
-
-/// 0/1 scatter matrix S [num_nodes, num_edges] with S[node_of(e), e] = 1;
-/// multiplying S by per-edge messages sums them per node.
-Tensor ScatterMatrix(int64_t num_nodes, const std::vector<int>& edge_nodes) {
-  Tensor s({num_nodes, static_cast<int64_t>(edge_nodes.size())});
-  for (size_t e = 0; e < edge_nodes.size(); ++e) {
-    s.at2(edge_nodes[e], static_cast<int64_t>(e)) = 1.0f;
-  }
-  return s;
-}
-
-}  // namespace
 
 EmbsrModel::EmbsrModel(std::string name, int64_t num_items,
                        int64_t num_operations, const TrainConfig& train_cfg,
@@ -140,18 +119,15 @@ Variable EmbsrModel::EncodeOpSequences(
   return ag::StackRows(encodings);
 }
 
-void EmbsrModel::RunGnn(const Example& ex,
-                        const std::vector<int64_t>& macro_items,
+void EmbsrModel::RunGnn(const SessionMultigraph& graph,
                         const std::vector<std::vector<int64_t>>& macro_ops,
                         Variable* satellites, Variable* star) {
   EMBSR_TRACE_SPAN("embsr/gnn");
   using namespace ag;  // NOLINT
-  (void)ex;
   const int64_t d = config().embedding_dim;
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
-  const SessionMultigraph graph = SessionMultigraph::Build(macro_items);
   const int64_t c = graph.num_nodes();
-  const int64_t n = static_cast<int64_t>(macro_items.size());
+  const std::vector<int64_t>& alias = graph.alias();
+  const int64_t n = static_cast<int64_t>(alias.size());
 
   Variable h0 = items_.Forward(graph.nodes());
   h0 = Dropout(h0, config().dropout, training(), rng());
@@ -168,71 +144,45 @@ void EmbsrModel::RunGnn(const Example& ex,
   // multigraph has no edges — skips the micro GRU entirely instead of
   // growing an orphaned subgraph (no RNG is drawn on this path, so the
   // skip is bitwise-neutral for every session that does have edges).
-  const bool has_edges = !graph.edges().empty();
+  const bool has_edges = n > 1;
   Variable h_seq = cfg_.use_op_gru_edges && has_edges
                        ? EncodeOpSequences(macro_ops)
                        : Constant(Tensor::Zeros({n, d}));
 
-  // Edge index lists. Edge e goes from position `order` to `order + 1`;
-  // per Eq. 5 the message along an edge carries the *other* endpoint's
-  // embedding and that endpoint's operation encoding at the transition.
-  std::vector<int64_t> in_src, in_ord, out_dst, out_ord;
-  std::vector<int> in_dst_nodes, out_src_nodes;
-  for (const auto& e : graph.edges()) {
-    in_src.push_back(e.src);
-    in_ord.push_back(e.order);
-    in_dst_nodes.push_back(e.dst);
-    out_dst.push_back(e.dst);
-    out_ord.push_back(e.order + 1);
-    out_src_nodes.push_back(e.src);
+  // Edge e runs from node src[e] at position e to node dst[e] at position
+  // e + 1. Per Eq. 5 the message along an edge carries the *other*
+  // endpoint's embedding and that endpoint's operation encoding at the
+  // transition; each node sums its messages in ascending edge order.
+  const std::vector<int64_t> src(alias.begin(), alias.end() - 1);
+  const std::vector<int64_t> dst(alias.begin() + 1, alias.end());
+  std::vector<int64_t> src_pos, dst_pos;
+  for (int64_t e = 0; e + 1 < n; ++e) {
+    src_pos.push_back(e);
+    dst_pos.push_back(e + 1);
   }
-  Tensor s_in = has_edges ? ScatterMatrix(c, in_dst_nodes) : Tensor();
-  Tensor s_out = has_edges ? ScatterMatrix(c, out_src_nodes) : Tensor();
 
   Variable h = h0;
   for (int layer = 0; layer < cfg_.gnn_layers; ++layer) {
     Variable a_in, a_out;
     if (has_edges) {
       Variable msg_in = msg_in_.Forward(
-          ConcatCols(GatherRows(h, in_src), GatherRows(h_seq, in_ord)));
-      a_in = MatMul(Constant(s_in), msg_in);
+          ConcatCols(GatherRows(h, src), GatherRows(h_seq, src_pos)));
+      a_in = SegmentSumRows(msg_in, dst, c);
       Variable msg_out = msg_out_.Forward(
-          ConcatCols(GatherRows(h, out_dst), GatherRows(h_seq, out_ord)));
-      a_out = MatMul(Constant(s_out), msg_out);
+          ConcatCols(GatherRows(h, dst), GatherRows(h_seq, dst_pos)));
+      a_out = SegmentSumRows(msg_out, src, c);
     } else {
       a_in = Constant(Tensor::Zeros({c, d}));
       a_out = Constant(Tensor::Zeros({c, d}));
     }
     Variable a = ConcatCols(a_in, a_out);  // Eq. 7
-
-    // Gated update (Eq. 8).
-    Variable z = Sigmoid(Add(MatMul(a, w_z_), MatMul(h, u_z_)));
-    Variable r = Sigmoid(Add(MatMul(a, w_r_), MatMul(h, u_r_)));
-    Variable cand = Tanh(Add(MatMul(a, w_u_), MatMul(Mul(r, h), u_u_)));
-    Variable one_minus_z = AddScalar(Neg(z), 1.0f);
-    Variable h_hat = Add(Mul(one_minus_z, h), Mul(z, cand));
-
-    // Satellite <- star gate (Eq. 9; sigmoid added for stability).
-    Variable alpha = Sigmoid(Scale(
-        MatMul(MatMul(h_hat, wq1_), Transpose(MatMul(star_v, wk1_))),
-        inv_sqrt_d));  // [c, 1]
-    Variable one_minus_a = AddScalar(Neg(alpha), 1.0f);
-    h = Add(MulColBroadcast(h_hat, one_minus_a),
-            MulColBroadcast(RepeatRow(star_v, c), alpha));
-
-    // Star update by attention over satellites (Eq. 10).
-    Variable beta = RowSoftmaxMasked(
-        Scale(Transpose(MatMul(MatMul(h, wk2_),
-                               Transpose(MatMul(star_v, wq2_)))),
-              inv_sqrt_d),
-        Tensor::Ones({1, c}));
-    star_v = MatMul(beta, h);
+    Variable h_hat =
+        GatedUpdate(a, h, w_z_, u_z_, w_r_, u_r_, w_u_, u_u_);  // Eq. 8
+    h = StarGate(h_hat, star_v, wq1_, wk1_);                    // Eq. 9
+    star_v = StarAttention(h, star_v, wq2_, wk2_);              // Eq. 10
   }
 
-  // Highway network (Eq. 11).
-  Variable g = Sigmoid(highway_.Forward(ConcatCols(h0, h)));
-  Variable one_minus_g = AddScalar(Neg(g), 1.0f);
-  *satellites = Add(Mul(g, h0), Mul(one_minus_g, h));
+  *satellites = HighwayMix(h0, h, highway_.weight());  // Eq. 11
   *star = star_v;
 }
 
@@ -271,10 +221,10 @@ Variable EmbsrModel::SessionRepr(const Example& ex) {
       flat_ops.erase(flat_ops.begin(), flat_ops.begin() + drop);
     }
 
-    Variable satellites, star;
-    RunGnn(ex, macro_items, macro_ops, &satellites, &star);
-
     const SessionMultigraph graph = SessionMultigraph::Build(macro_items);
+    Variable satellites, star;
+    RunGnn(graph, macro_ops, &satellites, &star);
+
     // Variants without any operation information in the attention stage
     // (SGNN-Self, SGNN-Seq-Self) attend over *macro items*, as in the
     // paper's description ("can only learn the representation of the
@@ -302,9 +252,7 @@ Variable EmbsrModel::SessionRepr(const Example& ex) {
         x = item_part;
       }
     } else {
-      std::vector<int64_t> node_of_macro(graph.alias().begin(),
-                                         graph.alias().end());
-      x = GatherRows(satellites, node_of_macro);
+      x = GatherRows(satellites, graph.alias());
       flat_ops.clear();  // no operation inputs downstream
     }
     // Eq. 13 with a learned virtual operation in place of o_{t+1}.

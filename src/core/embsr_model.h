@@ -84,7 +84,7 @@ class EmbsrModel : public NeuralSessionModel {
   /// Runs the star-multigraph GNN; returns final satellite states h^f
   /// ([c, d], rows indexed like graph nodes) and the final star node
   /// ([1, d]) through the output parameters.
-  void RunGnn(const Example& ex, const std::vector<int64_t>& macro_items,
+  void RunGnn(const SessionMultigraph& graph,
               const std::vector<std::vector<int64_t>>& macro_ops,
               ag::Variable* satellites, ag::Variable* star);
 

@@ -10,60 +10,26 @@ SessionMultigraph SessionMultigraph::Build(
     const std::vector<int64_t>& macro_items) {
   EMBSR_CHECK(!macro_items.empty());
   SessionMultigraph g;
-  std::unordered_map<int64_t, int> index;
+  std::unordered_map<int64_t, int64_t> index;
   g.alias_.reserve(macro_items.size());
   for (int64_t item : macro_items) {
     auto [it, inserted] = index.try_emplace(
-        item, static_cast<int>(g.nodes_.size()));
+        item, static_cast<int64_t>(g.nodes_.size()));
     if (inserted) g.nodes_.push_back(item);
     g.alias_.push_back(it->second);
-  }
-  // lint: allow(raw-resize): adjacency lists sized after node dedup
-  g.in_edges_.resize(g.nodes_.size());
-  // lint: allow(raw-resize): adjacency lists sized after node dedup
-  g.out_edges_.resize(g.nodes_.size());
-  for (size_t i = 0; i + 1 < macro_items.size(); ++i) {
-    Edge e;
-    e.src = g.alias_[i];
-    e.dst = g.alias_[i + 1];
-    e.order = static_cast<int>(i);
-    const int edge_id = static_cast<int>(g.edges_.size());
-    g.edges_.push_back(e);
-    g.out_edges_[e.src].push_back(edge_id);
-    g.in_edges_[e.dst].push_back(edge_id);
   }
   return g;
 }
 
-const std::vector<int>& SessionMultigraph::in_edges(int node) const {
-  EMBSR_CHECK_GE(node, 0);
-  EMBSR_CHECK_LT(node, num_nodes());
-  return in_edges_[node];
-}
-
-const std::vector<int>& SessionMultigraph::out_edges(int node) const {
-  EMBSR_CHECK_GE(node, 0);
-  EMBSR_CHECK_LT(node, num_nodes());
-  return out_edges_[node];
-}
-
 SrgnnAdjacency BuildSrgnnAdjacency(const std::vector<int64_t>& macro_items) {
-  EMBSR_CHECK(!macro_items.empty());
+  const SessionMultigraph graph = SessionMultigraph::Build(macro_items);
   SrgnnAdjacency adj;
-  std::unordered_map<int64_t, int> index;
-  adj.alias.reserve(macro_items.size());
-  for (int64_t item : macro_items) {
-    auto [it, inserted] =
-        index.try_emplace(item, static_cast<int>(adj.nodes.size()));
-    if (inserted) adj.nodes.push_back(item);
-    adj.alias.push_back(it->second);
-  }
-  const int64_t n = static_cast<int64_t>(adj.nodes.size());
+  adj.nodes = graph.nodes();
+  adj.alias = graph.alias();
+  const int64_t n = graph.num_nodes();
   Tensor counts_out({n, n});
-  for (size_t i = 0; i + 1 < macro_items.size(); ++i) {
-    const int u = adj.alias[i];
-    const int v = adj.alias[i + 1];
-    counts_out.at2(u, v) += 1.0f;
+  for (size_t e = 0; e + 1 < adj.alias.size(); ++e) {
+    counts_out.at2(adj.alias[e], adj.alias[e + 1]) += 1.0f;
   }
   // Row-normalize outgoing counts; incoming matrix is the transpose of the
   // counts, row-normalized over *incoming* degree (as in SR-GNN).

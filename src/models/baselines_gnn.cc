@@ -1,30 +1,11 @@
 #include "models/baselines_gnn.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "obs/trace.h"
 #include "util/check.h"
 
 namespace embsr {
 
 using ag::Variable;
-
-namespace {
-
-template <typename T>
-std::vector<T> Tail(const std::vector<T>& v, size_t max_len) {
-  if (v.size() <= max_len) return v;
-  return std::vector<T>(v.end() - max_len, v.end());
-}
-
-/// Reorders node states [n, d] into sequence states [t, d] via the alias.
-Variable NodesToSequence(const Variable& nodes, const std::vector<int>& alias) {
-  std::vector<int64_t> idx(alias.begin(), alias.end());
-  return ag::GatherRows(nodes, idx);
-}
-
-}  // namespace
 
 // -- SR-GNN ---------------------------------------------------------------------
 
@@ -47,7 +28,7 @@ Variable SrGnn::Logits(const Example& ex) {
   Variable h = items_.Forward(adj.nodes);
   h = Dropout(h, config().dropout, training(), rng());
   h = ggnn_.Forward(h, adj.a_in, adj.a_out);
-  Variable states = NodesToSequence(h, adj.alias);
+  Variable states = GatherRows(h, adj.alias);
   Variable rep = readout_.Forward(states);
   return ScoreItems(rep, items_.table());
 }
@@ -77,7 +58,7 @@ Variable GcSan::Logits(const Example& ex) {
   Variable h = items_.Forward(adj.nodes);
   h = Dropout(h, config().dropout, training(), rng());
   h = ggnn_.Forward(h, adj.a_in, adj.a_out);
-  Variable states = NodesToSequence(h, adj.alias);
+  Variable states = GatherRows(h, adj.alias);
   const int64_t t = states.value().dim(0);
   Variable h_last = Row(states, t - 1);
   Tensor mask = Tensor::Ones({t, t});
@@ -118,7 +99,7 @@ Variable MkmSr::Logits(const Example& ex) {
   Variable h = items_.Forward(adj.nodes);
   h = Dropout(h, config().dropout, training(), rng());
   h = ggnn_.Forward(h, adj.a_in, adj.a_out);
-  Variable states = NodesToSequence(h, adj.alias);
+  Variable states = GatherRows(h, adj.alias);
   Variable item_rep = readout_.Forward(states);
 
   const auto flat_ops = Tail(ex.flat_ops, config().max_positions);
@@ -170,11 +151,8 @@ SgnnHn::SgnnHn(int64_t num_items, int64_t num_operations,
 Variable SgnnHn::Logits(const Example& ex) {
   EMBSR_TIMED_SPAN("sgnnhn/logits", "model/forward_ms");
   using namespace ag;  // NOLINT
-  const int64_t d = config().embedding_dim;
-  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
   const auto seq = Tail(ex.macro_items, config().max_positions);
   SrgnnAdjacency adj = BuildSrgnnAdjacency(seq);
-  const int64_t n = static_cast<int64_t>(adj.nodes.size());
 
   Variable h0 = items_.Forward(adj.nodes);
   h0 = Dropout(h0, config().dropout, training(), rng());
@@ -182,31 +160,16 @@ Variable SgnnHn::Logits(const Example& ex) {
   Variable star = MeanRowsTo1xD(h0);
 
   for (int layer = 0; layer < num_layers_; ++layer) {
-    Variable h_hat = ggnn_.Forward(h, adj.a_in, adj.a_out);
-    // Satellite <- star gate: alpha_i = (Wq1 h_i)^T (Wk1 star) / sqrt(d),
-    // squashed with a sigmoid for numerical stability.
-    Variable alpha = Sigmoid(Scale(
-        MatMul(MatMul(h_hat, wq1_), Transpose(MatMul(star, wk1_))),
-        inv_sqrt_d));  // [n, 1]
-    Variable star_rows = RepeatRow(star, n);
-    Variable one_minus = AddScalar(Neg(alpha), 1.0f);
-    h = Add(MulColBroadcast(h_hat, one_minus),
-            MulColBroadcast(star_rows, alpha));
-    // Star update by attention over satellites.
-    Variable beta = RowSoftmaxMasked(
-        Scale(Transpose(MatMul(MatMul(h, wk2_), Transpose(MatMul(star, wq2_)))),
-              inv_sqrt_d),
-        Tensor::Ones({1, n}));  // [1, n]
-    star = MatMul(beta, h);
+    Variable h_hat = ggnn_.Forward(h, adj.a_in, adj.a_out);  // Eq. 8
+    h = StarGate(h_hat, star, wq1_, wk1_);                    // Eq. 9
+    star = StarAttention(h, star, wq2_, wk2_);                // Eq. 10
   }
 
-  // Highway between pre- and post-GNN node embeddings.
-  Variable g = Sigmoid(highway_.Forward(ConcatCols(h0, h)));
-  Variable one_minus_g = AddScalar(Neg(g), 1.0f);
-  Variable hf = Add(Mul(g, h0), Mul(one_minus_g, h));
+  // Highway between pre- and post-GNN node embeddings (Eq. 11).
+  Variable hf = HighwayMix(h0, h, highway_.weight());
 
   // Position-aware attention readout against last item + star.
-  Variable states = NodesToSequence(hf, adj.alias);
+  Variable states = GatherRows(hf, adj.alias);
   const int64_t t = states.value().dim(0);
   std::vector<int64_t> pos(t);
   for (int64_t i = 0; i < t; ++i) {

@@ -9,17 +9,6 @@ namespace embsr {
 
 using ag::Variable;
 
-namespace {
-
-/// Truncates a sequence to its most recent `max_len` entries.
-template <typename T>
-std::vector<T> Tail(const std::vector<T>& v, size_t max_len) {
-  if (v.size() <= max_len) return v;
-  return std::vector<T>(v.end() - max_len, v.end());
-}
-
-}  // namespace
-
 // -- NARM ----------------------------------------------------------------------
 
 Narm::Narm(int64_t num_items, int64_t num_operations, const TrainConfig& cfg)

@@ -25,18 +25,62 @@ GgnnLayer::GgnnLayer(int64_t dim, Rng* rng)
   u_h_ = mk("u_h", dim, dim);
 }
 
+Variable GatedUpdate(const Variable& a, const Variable& h,
+                     const Variable& w_z, const Variable& u_z,
+                     const Variable& w_r, const Variable& u_r,
+                     const Variable& w_h, const Variable& u_h) {
+  using namespace ag;  // NOLINT
+  Variable z = Sigmoid(Add(MatMul(a, w_z), MatMul(h, u_z)));
+  Variable r = Sigmoid(Add(MatMul(a, w_r), MatMul(h, u_r)));
+  Variable cand = Tanh(Add(MatMul(a, w_h), MatMul(Mul(r, h), u_h)));
+  Variable one_minus_z = AddScalar(Neg(z), 1.0f);
+  return Add(Mul(one_minus_z, h), Mul(z, cand));
+}
+
+namespace {
+
+float InvSqrtDim(const Variable& x) {
+  return 1.0f / std::sqrt(static_cast<float>(x.value().dim(1)));
+}
+
+}  // namespace
+
+Variable StarGate(const Variable& h_hat, const Variable& star,
+                  const Variable& wq1, const Variable& wk1) {
+  using namespace ag;  // NOLINT
+  Variable alpha = Sigmoid(Scale(
+      MatMul(MatMul(h_hat, wq1), Transpose(MatMul(star, wk1))),
+      InvSqrtDim(h_hat)));  // [n, 1]
+  Variable one_minus_alpha = AddScalar(Neg(alpha), 1.0f);
+  return Add(MulColBroadcast(h_hat, one_minus_alpha),
+             MulColBroadcast(RepeatRow(star, h_hat.value().dim(0)), alpha));
+}
+
+Variable StarAttention(const Variable& h, const Variable& star,
+                       const Variable& wq2, const Variable& wk2) {
+  using namespace ag;  // NOLINT
+  Variable beta = RowSoftmaxMasked(
+      Scale(Transpose(MatMul(MatMul(h, wk2), Transpose(MatMul(star, wq2)))),
+            InvSqrtDim(h)),
+      Tensor::Ones({1, h.value().dim(0)}));  // [1, n]
+  return MatMul(beta, h);
+}
+
+Variable HighwayMix(const Variable& h0, const Variable& h, const Variable& w) {
+  using namespace ag;  // NOLINT
+  Variable g = Sigmoid(MatMul(ConcatCols(h0, h), w));
+  Variable one_minus_g = AddScalar(Neg(g), 1.0f);
+  return Add(Mul(g, h0), Mul(one_minus_g, h));
+}
+
 Variable GgnnLayer::Forward(const Variable& h, const Tensor& a_in,
                             const Tensor& a_out) const {
   using namespace ag;  // NOLINT
   prof::ComponentScope prof_component("ggnn");
   Variable m_in = MatMul(Constant(a_in), in_proj_.Forward(h));
   Variable m_out = MatMul(Constant(a_out), out_proj_.Forward(h));
-  Variable a = ConcatCols(m_in, m_out);  // [n, 2d]
-  Variable z = Sigmoid(Add(MatMul(a, w_z_), MatMul(h, u_z_)));
-  Variable r = Sigmoid(Add(MatMul(a, w_r_), MatMul(h, u_r_)));
-  Variable cand = Tanh(Add(MatMul(a, w_h_), MatMul(Mul(r, h), u_h_)));
-  Variable one_minus_z = AddScalar(Neg(z), 1.0f);
-  return Add(Mul(one_minus_z, h), Mul(z, cand));
+  return GatedUpdate(ConcatCols(m_in, m_out), h, w_z_, u_z_, w_r_, u_r_,
+                     w_h_, u_h_);
 }
 
 SoftAttentionReadout::SoftAttentionReadout(int64_t dim, Rng* rng)

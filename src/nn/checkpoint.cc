@@ -39,10 +39,14 @@ void AppendTensor(std::string* out, const Tensor& t) {
 /// offset where the file ran out or went bad.
 class ByteReader {
  public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
+  explicit ByteReader(const std::string& data)
+      : data_(data), end_(data.size()) {}
 
   size_t offset() const { return off_; }
-  size_t remaining() const { return data_.size() - off_; }
+  size_t remaining() const { return end_ - off_; }
+  /// Ends the readable bytes at `end`, in [offset(), current end]: the CRC
+  /// trailer is not payload.
+  void EndAt(size_t end) { end_ = end; }
 
   Status Read(void* dst, size_t n, const char* what) {
     if (n > remaining()) {
@@ -69,6 +73,7 @@ class ByteReader {
 
  private:
   const std::string& data_;
+  size_t end_;
   size_t off_ = 0;
 };
 
@@ -249,18 +254,21 @@ Status SaveImpl(const Module& module, const TrainState* state,
 }
 
 /// The parameter section: count, then each parameter's name and tensor,
-/// which must match `module`'s names, order and shapes exactly.
-Status LoadParams(ByteReader* r, const std::string& path, Module* module) {
+/// which must match `module`'s names, order and shapes exactly. Decodes
+/// into `values`, one tensor per parameter; the module is not touched.
+Status ReadParams(ByteReader* r, const std::string& path,
+                  const Module& module, std::vector<Tensor>* values) {
   uint32_t count = 0;
   Status s = r->ReadPod(&count, "parameter count");
   if (!s.ok()) return s;
-  auto params = module->NamedParameters();
+  const auto params = module.NamedParameters();
   if (count != params.size()) {
     return Status::FailedPrecondition(
         "checkpoint has " + std::to_string(count) + " parameters, module has " +
         std::to_string(params.size()));
   }
-  for (auto& np : params) {
+  values->reserve(params.size());
+  for (const auto& np : params) {
     uint32_t name_len = 0;
     s = r->ReadPod(&name_len, "name length");
     if (!s.ok()) return s;
@@ -276,8 +284,10 @@ Status LoadParams(ByteReader* r, const std::string& path, Module* module) {
       return Status::FailedPrecondition("parameter name mismatch: expected '" +
                                         np.name + "', found '" + name + "'");
     }
-    s = ReadTensorMatching(r, &np.variable.mutable_value(), np.name);
+    Tensor value(np.variable.value().shape());
+    s = ReadTensorMatching(r, &value, np.name);
     if (!s.ok()) return s;
+    values->push_back(std::move(value));
   }
   return Status::OK();
 }
@@ -309,7 +319,7 @@ Status LoadImpl(const std::string& path, Module* module, TrainState* state,
   }
 
   // Verify the whole-file CRC before trusting any field.
-  if (data.size() < sizeof(uint32_t)) {
+  if (data.size() < r.offset() + sizeof(uint32_t)) {
     return Status::InvalidArgument("'" + path + "' is too short for a CRC");
   }
   const size_t crc_off = data.size() - sizeof(uint32_t);
@@ -324,11 +334,13 @@ Status LoadImpl(const std::string& path, Module* module, TrainState* state,
         std::to_string(computed_crc) + " over bytes [0, " +
         std::to_string(crc_off) + ")");
   }
+  r.EndAt(crc_off);
 
   uint32_t flags = 0;
   s = r.ReadPod(&flags, "flags");
   if (!s.ok()) return s;
-  s = LoadParams(&r, path, module);
+  std::vector<Tensor> values;
+  s = ReadParams(&r, path, *module, &values);
   if (!s.ok()) return s;
 
   const bool has_state = (flags & kFlagHasTrainState) != 0;
@@ -336,10 +348,24 @@ Status LoadImpl(const std::string& path, Module* module, TrainState* state,
     return Status::FailedPrecondition("'" + path +
                                       "' carries no training state");
   }
-  if (has_state && state != nullptr) {
-    s = ReadTrainState(&r, state);
+  TrainState decoded;
+  if (has_state) {
+    s = ReadTrainState(&r, &decoded);
     if (!s.ok()) return s;
   }
+  if (r.remaining() != 0) {
+    return Status::InvalidArgument(
+        "corrupt checkpoint '" + path + "': " +
+        std::to_string(r.remaining()) +
+        " trailing bytes before the CRC at offset " +
+        std::to_string(r.offset()));
+  }
+
+  auto params = module->NamedParameters();
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i].variable.mutable_value() = std::move(values[i]);
+  }
+  if (state != nullptr) *state = std::move(decoded);
   return Status::OK();
 }
 

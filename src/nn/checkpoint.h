@@ -46,7 +46,10 @@ struct TrainState {
 /// names, order and shapes match the target module exactly, so a checkpoint
 /// can only be restored into the same architecture (by design: silent
 /// partial loads hide bugs). Every read is bounds-checked; errors carry the
-/// failing byte offset.
+/// failing byte offset. A load is all or nothing: every section, the
+/// TrainState included, is decoded and the file must end with the CRC right
+/// after it before the module (or the state) changes, so a failed load
+/// leaves both as they were.
 ///
 /// Writes are crash-safe: the file is assembled in memory, written to a
 /// same-directory temporary, fsync'd and atomically renamed (see
@@ -60,8 +63,8 @@ Status SaveCheckpoint(const Module& module, const std::string& path);
 Status SaveCheckpoint(const Module& module, const TrainState& state,
                       const std::string& path);
 
-/// Restores weights into `module`; a trailing TrainState, if present, is
-/// ignored.
+/// Restores weights into `module`; a TrainState, if present, is checked
+/// but not returned.
 Status LoadCheckpoint(const std::string& path, Module* module);
 
 /// Restores weights and training state. Fails with FailedPrecondition on a

@@ -96,9 +96,9 @@ void ExitSerialReduction(const char* prev);
 }  // namespace internal
 
 /// Marks the dynamic extent of a serial-by-contract reduction kernel
-/// (SumAll, SumRowsTo1xD, MeanAll, ScatterAddRows): any par::For dispatch
-/// while a scope is active is a contract violation — the reduction's
-/// accumulation order would depend on the partition.
+/// (SumAll, SumRowsTo1xD, ScatterAddRows, SegmentSumRows): any par::For
+/// dispatch while a scope is active is a contract violation — the
+/// reduction's accumulation order would depend on the partition.
 class SerialReductionScope {
  public:
   explicit SerialReductionScope(const char* kernel)

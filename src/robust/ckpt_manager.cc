@@ -108,14 +108,6 @@ Status CheckpointManager::LoadLatest(
   if (!enabled()) {
     return Status::FailedPrecondition("no checkpoint directory configured");
   }
-  // A failed load can leave the module partially overwritten (params are
-  // restored in file order); snapshot the weights so that "every candidate
-  // was corrupt" hands back an unmodified module, not a half-loaded one.
-  auto params = module->NamedParameters();
-  std::vector<Tensor> before;
-  before.reserve(params.size());
-  for (const auto& np : params) before.push_back(np.variable.value());
-
   std::vector<std::string> skipped;
   std::vector<std::string> all = ListCheckpoints();
   for (auto it = all.rbegin(); it != all.rend(); ++it) {
@@ -128,9 +120,6 @@ Status CheckpointManager::LoadLatest(
     skipped.push_back(*it);
     EMBSR_LOG(Warning) << "skipping unloadable checkpoint '" << *it
                        << "': " << s.ToString();
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i].variable.mutable_value() = before[i];
   }
   std::string msg = "no loadable checkpoint for run '" + run_id_ + "' in '" +
                     config_.dir + "'";

@@ -50,7 +50,9 @@ class CheckpointManager {
                             const nn::TrainState& state);
 
   /// Restores the newest loadable checkpoint of this run into
-  /// (module, state). NotFound when none exists (a fresh run); when
+  /// (module, state). A checkpoint that fails to load changes neither
+  /// (nn::LoadCheckpoint is all or nothing). NotFound when none exists (a
+  /// fresh run); when
   /// checkpoints existed but every one was corrupt, the NotFound message
   /// lists the skipped paths so the operator sees *what* was lost, not just
   /// that resume fell through. `skipped_corrupt`, when non-null, receives

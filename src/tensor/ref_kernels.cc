@@ -40,10 +40,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x + y; });
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp(a, b, [](float x, float y) { return x - y; });
-}
-
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp(a, b, [](float x, float y) { return x * y; });
 }
@@ -81,18 +77,6 @@ Tensor Scale(const Tensor& a, float s) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp(a, [s](float x) { return x + s; });
-}
-
-Tensor Neg(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return -x; });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::exp(x); });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp(a, [](float x) { return std::log(x); });
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -182,13 +166,6 @@ Tensor SumColsToNx1(const Tensor& a) {
   return out;
 }
 
-float MeanAll(const Tensor& a) {
-  EMBSR_CHECK_GT(a.size(), 0);
-  double acc = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i];
-  return static_cast<float>(acc / static_cast<double>(a.size()));
-}
-
 Tensor RowSoftmax(const Tensor& a) {
   EMBSR_CHECK_EQ(a.ndim(), 2);
   const int64_t n = a.dim(0), m = a.dim(1);
@@ -235,21 +212,6 @@ Tensor RowSoftmaxMasked(const Tensor& a, const Tensor& mask) {
     }
     const float inv = static_cast<float>(1.0 / z);
     for (int64_t j = 0; j < m; ++j) orow[j] *= inv;
-  }
-  return out;
-}
-
-Tensor RowLogSumExp(const Tensor& a) {
-  EMBSR_CHECK_EQ(a.ndim(), 2);
-  const int64_t n = a.dim(0), m = a.dim(1);
-  Tensor out({n, 1});
-  for (int64_t i = 0; i < n; ++i) {
-    const float* row = a.data() + i * m;
-    float mx = row[0];
-    for (int64_t j = 1; j < m; ++j) mx = std::max(mx, row[j]);
-    double z = 0.0;
-    for (int64_t j = 0; j < m; ++j) z += std::exp(row[j] - mx);
-    out.data()[i] = mx + static_cast<float>(std::log(z));
   }
   return out;
 }

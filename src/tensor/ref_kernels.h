@@ -19,15 +19,11 @@ namespace ref {
 /// by construction and stay frozen when the real kernels evolve.
 
 Tensor Add(const Tensor& a, const Tensor& b);
-Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 Tensor AddRowBroadcast(const Tensor& a, const Tensor& row);
 Tensor MulRowBroadcast(const Tensor& a, const Tensor& row);
 Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
-Tensor Neg(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
@@ -36,10 +32,8 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 Tensor SumAll(const Tensor& a);
 Tensor SumRowsTo1xD(const Tensor& a);
 Tensor SumColsToNx1(const Tensor& a);
-float MeanAll(const Tensor& a);
 Tensor RowSoftmax(const Tensor& a);
 Tensor RowSoftmaxMasked(const Tensor& a, const Tensor& mask);
-Tensor RowLogSumExp(const Tensor& a);
 Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& indices);
 void ScatterAddRows(const Tensor& grad_rows,
                     const std::vector<int64_t>& indices, Tensor* grad_table);

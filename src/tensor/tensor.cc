@@ -314,10 +314,6 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   return BinaryOp("Add", a, b, [](float x, float y) { return x + y; });
 }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  return BinaryOp("Sub", a, b, [](float x, float y) { return x - y; });
-}
-
 Tensor Mul(const Tensor& a, const Tensor& b) {
   return BinaryOp("Mul", a, b, [](float x, float y) { return x * y; });
 }
@@ -375,18 +371,6 @@ Tensor Scale(const Tensor& a, float s) {
 
 Tensor AddScalar(const Tensor& a, float s) {
   return UnaryOp("AddScalar", a, [s](float x) { return x + s; });
-}
-
-Tensor Neg(const Tensor& a) {
-  return UnaryOp("Neg", a, [](float x) { return -x; });
-}
-
-Tensor Exp(const Tensor& a) {
-  return UnaryOp("Exp", a, [](float x) { return std::exp(x); });
-}
-
-Tensor Log(const Tensor& a) {
-  return UnaryOp("Log", a, [](float x) { return std::log(x); });
 }
 
 Tensor Tanh(const Tensor& a) {
@@ -497,7 +481,7 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   return out;
 }
 
-// SumAll / SumRowsTo1xD / MeanAll reduce ACROSS the would-be partition axis,
+// SumAll / SumRowsTo1xD reduce ACROSS the would-be partition axis,
 // so any split would reorder the float summation; they stay serial by the
 // kernel contract (DESIGN.md §11).
 Tensor SumAll(const Tensor& a) {
@@ -538,14 +522,6 @@ Tensor SumColsToNx1(const Tensor& a) {
         }
       });
   return out;
-}
-
-float MeanAll(const Tensor& a) {
-  EMBSR_SENTINEL_SERIAL_REDUCTION("MeanAll");
-  EMBSR_CHECK_GT(a.size(), 0);
-  double acc = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i];
-  return static_cast<float>(acc / static_cast<double>(a.size()));
 }
 
 Tensor RowSoftmax(const Tensor& a) {
@@ -618,31 +594,6 @@ Tensor RowSoftmaxMasked(const Tensor& a, const Tensor& mask) {
       for (int64_t j = 0; j < m; ++j) orow[j] *= inv;
     }
   });
-  return out;
-}
-
-Tensor RowLogSumExp(const Tensor& a) {
-  EMBSR_CHECK_EQ(a.ndim(), 2);
-  const int64_t n = a.dim(0), m = a.dim(1);
-  Tensor out({n, 1});
-  const float* pa = a.data();
-  float* po = out.data();
-  par::ForChecked(
-      "RowLogSumExp", 0, n, RowGrain(m),
-      [&](int64_t lo, int64_t hi, par::AccessSet* acc) {
-        acc->Write(po, lo, hi);
-        acc->Read(pa, lo * m, hi * m);
-      },
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const float* row = pa + i * m;
-          float mx = row[0];
-          for (int64_t j = 1; j < m; ++j) mx = std::max(mx, row[j]);
-          double z = 0.0;
-          for (int64_t j = 0; j < m; ++j) z += std::exp(row[j] - mx);
-          po[i] = mx + static_cast<float>(std::log(z));
-        }
-      });
   return out;
 }
 

@@ -156,7 +156,6 @@ class Tensor {
 
 /// Elementwise; shapes must match exactly.
 Tensor Add(const Tensor& a, const Tensor& b);
-Tensor Sub(const Tensor& a, const Tensor& b);
 Tensor Mul(const Tensor& a, const Tensor& b);
 
 /// Adds a [1, d] (or rank-1 length-d) bias row to every row of a [n, d].
@@ -168,9 +167,6 @@ Tensor MulRowBroadcast(const Tensor& a, const Tensor& row);
 
 Tensor Scale(const Tensor& a, float s);
 Tensor AddScalar(const Tensor& a, float s);
-Tensor Neg(const Tensor& a);
-Tensor Exp(const Tensor& a);
-Tensor Log(const Tensor& a);
 Tensor Tanh(const Tensor& a);
 Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
@@ -190,8 +186,6 @@ Tensor SumAll(const Tensor& a);
 Tensor SumRowsTo1xD(const Tensor& a);
 /// Row sums: [n, d] -> [n, 1].
 Tensor SumColsToNx1(const Tensor& a);
-/// Arithmetic mean of all elements.
-float MeanAll(const Tensor& a);
 
 /// Row-wise softmax of a rank-2 tensor (numerically stabilized).
 Tensor RowSoftmax(const Tensor& a);
@@ -199,10 +193,6 @@ Tensor RowSoftmax(const Tensor& a);
 /// Row-wise softmax with additive mask: entries where mask==0 get -inf
 /// before the softmax. `mask` is [n, m] of 0/1.
 Tensor RowSoftmaxMasked(const Tensor& a, const Tensor& mask);
-
-/// Row-wise log(sum(exp(x))) of a rank-2 tensor (numerically stabilized):
-/// [n, m] -> [n, 1].
-Tensor RowLogSumExp(const Tensor& a);
 
 /// Gathers rows of `table` ([v, d]) at `indices` -> [indices.size(), d].
 Tensor GatherRows(const Tensor& table, const std::vector<int64_t>& indices);

@@ -33,9 +33,9 @@ ag::Variable Leaf(const Tensor& t) { return ag::Variable(t, true); }
 // ---- Composite cases --------------------------------------------------------
 //
 // The ops.h functions that lower to table ops (Neg -> Scale, Row ->
-// SliceRows, RowSoftmax -> RowSoftmaxMasked, MeanRowsTo1xD ->
-// Scale(SumRowsTo1xD)) build no node of their own, so they have no table
-// entry; these cases check each lowering end to end.
+// SliceRows, MeanRowsTo1xD -> Scale(SumRowsTo1xD)) build no node of their
+// own, so they have no table entry; these cases check each lowering end to
+// end.
 
 GradCheckResult CaseNeg() {
   Rng rng(kCaseSeed);
@@ -55,17 +55,6 @@ GradCheckResult CaseRow() {
   return CheckGradients(
       [w](const std::vector<ag::Variable>& l) {
         return WeightedSum(ag::Row(l[0], 2), w);
-      },
-      leaves);
-}
-
-GradCheckResult CaseRowSoftmax() {
-  Rng rng(kCaseSeed);
-  std::vector<ag::Variable> leaves = {Leaf(Rand({3, 4}, &rng))};
-  const Tensor w = Rand({3, 4}, &rng);
-  return CheckGradients(
-      [w](const std::vector<ag::Variable>& l) {
-        return WeightedSum(ag::RowSoftmax(l[0]), w);
       },
       leaves);
 }
@@ -168,7 +157,6 @@ std::vector<GradCheckCase> BuiltinGradCheckCases() {
   return {
       {"composite", "Neg", &CaseNeg},
       {"composite", "Row", &CaseRow},
-      {"composite", "RowSoftmax", &CaseRowSoftmax},
       {"composite", "MeanRowsTo1xD", &CaseMeanRowsTo1xD},
       {"layer", "Linear", &CaseLinear},
       {"layer", "Embedding", &CaseEmbedding},

@@ -77,7 +77,9 @@ TEST(AutogradBasics, LongChainBackward) {
 TEST(GradCheck, AddSubMul) {
   CheckGradients(
       [](const std::vector<Variable>& v) {
-        return ag::SumAll(ag::Mul(ag::Add(v[0], v[1]), ag::Sub(v[0], v[1])));
+        // a - b as Add(a, Neg(b)): Neg lowers to Scale(-1).
+        return ag::SumAll(
+            ag::Mul(ag::Add(v[0], v[1]), ag::Add(v[0], ag::Neg(v[1]))));
       },
       {Leaf(RandT({3, 4}, 1)), Leaf(RandT({3, 4}, 2))});
 }
@@ -107,7 +109,6 @@ TEST(GradCheck, Activations) {
       [](const std::vector<Variable>& v) {
         Variable x = ag::Sigmoid(v[0]);
         x = ag::Add(x, ag::Tanh(v[0]));
-        x = ag::Add(x, ag::Exp(ag::Scale(v[0], 0.3f)));
         return ag::SumAll(x);
       },
       {Leaf(RandT({2, 5}, 9))});
@@ -119,15 +120,6 @@ TEST(GradCheck, ReluAwayFromKink) {
   CheckGradients(
       [](const std::vector<Variable>& v) {
         return ag::SumAll(ag::Relu(v[0]));
-      },
-      {Leaf(t)});
-}
-
-TEST(GradCheck, LogOfPositive) {
-  Tensor t({3}, {0.5f, 1.5f, 2.5f});
-  CheckGradients(
-      [](const std::vector<Variable>& v) {
-        return ag::SumAll(ag::Log(v[0]));
       },
       {Leaf(t)});
 }
@@ -161,18 +153,6 @@ TEST(GradCheck, GatherRows) {
       {Leaf(RandT({3, 3}, 14))});
 }
 
-TEST(GradCheck, RowSoftmax) {
-  CheckGradients(
-      [](const std::vector<Variable>& v) {
-        Variable s = ag::RowSoftmax(v[0]);
-        // Weighted sum so the gradient is non-trivial.
-        Tensor w({2, 4});
-        for (int64_t i = 0; i < w.size(); ++i) w.at(i) = 0.1f * (i + 1);
-        return ag::SumAll(ag::Mul(s, ag::Constant(w)));
-      },
-      {Leaf(RandT({2, 4}, 15))});
-}
-
 TEST(GradCheck, RowSoftmaxMasked) {
   Tensor mask({2, 4}, {1, 1, 0, 1, 0, 1, 1, 1});
   CheckGradients(
@@ -189,10 +169,8 @@ TEST(GradCheck, Reductions) {
   CheckGradients(
       [](const std::vector<Variable>& v) {
         Variable a = ag::SumRowsTo1xD(v[0]);
-        Variable b = ag::SumColsToNx1(v[0]);
         Variable c = ag::MeanRowsTo1xD(v[0]);
-        return ag::Add(ag::SumAll(ag::Mul(a, a)),
-                       ag::Add(ag::SumAll(ag::Mul(b, b)), ag::SumAll(c)));
+        return ag::Add(ag::SumAll(ag::Mul(a, a)), ag::SumAll(c));
       },
       {Leaf(RandT({3, 2}, 17))});
 }
@@ -264,7 +242,9 @@ TEST(AutogradOps, DropoutPreservesExpectation) {
   Rng rng(24);
   Variable x = Leaf(Tensor::Ones({100, 100}));
   Variable y = ag::Dropout(x, 0.3f, /*training=*/true, &rng);
-  EXPECT_NEAR(MeanAll(y.value()), 1.0f, 0.05f);
+  const float mean =
+      SumAll(y.value()).at(0) / static_cast<float>(y.value().size());
+  EXPECT_NEAR(mean, 1.0f, 0.05f);
 }
 
 TEST(AutogradOps, DropoutZeroProbIsIdentity) {

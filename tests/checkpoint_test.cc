@@ -43,16 +43,21 @@ T PodAt(const std::string& bytes, size_t offset) {
   return value;
 }
 
+/// `bytes` with its CRC trailer recomputed over everything before it.
+std::string Resealed(std::string bytes) {
+  const size_t body = bytes.size() - sizeof(uint32_t);
+  const uint32_t crc = Crc32(bytes.data(), body);
+  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
+  return bytes;
+}
+
 /// `bytes` with the POD at `offset` rewritten and the CRC trailer resealed,
 /// so only the reader's bounds checks stand between the value and an
 /// allocation.
 template <typename T>
 std::string Resealed(std::string bytes, size_t offset, T value) {
   std::memcpy(bytes.data() + offset, &value, sizeof(T));
-  const size_t body = bytes.size() - sizeof(uint32_t);
-  const uint32_t crc = Crc32(bytes.data(), body);
-  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
-  return bytes;
+  return Resealed(std::move(bytes));
 }
 
 /// Hand-writes a format-v1 checkpoint (no flags word, no CRC) for `module`,
@@ -297,32 +302,76 @@ TEST(CheckpointFuzzTest, ResealedCountsAndDimsPastTheFileAreRejected) {
   ASSERT_EQ(PodAt<int64_t>(full, best_dim_at), 2);
   ASSERT_EQ(PodAt<uint32_t>(full, slot_count_at), 1u);
 
+  // A weights-only file and a full one, each with 8 junk bytes spliced in
+  // before the CRC and resealed.
+  auto with_trailing = [](std::string bytes) {
+    bytes.insert(bytes.size() - sizeof(uint32_t), 8, '\x5a');
+    return Resealed(std::move(bytes));
+  };
+
   struct Case {
     const char* what;
     std::string bytes;
     const char* message;
+    bool load_state;
   };
   const std::vector<Case> cases = {
       {"best-params count 0xFFFFFFFF",
-       Resealed(full, best_count_at, uint32_t{0xFFFFFFFFu}), "implausible"},
+       Resealed(full, best_count_at, uint32_t{0xFFFFFFFFu}), "implausible",
+       true},
       {"best-params count 0x10000000",
-       Resealed(full, best_count_at, uint32_t{0x10000000u}), "implausible"},
+       Resealed(full, best_count_at, uint32_t{0x10000000u}), "implausible",
+       true},
       {"optimizer slot count 2^20 - 1",
        Resealed(full, slot_count_at, uint32_t{(1u << 20) - 1}),
-       "implausible"},
+       "implausible", true},
       {"best-params dim 2^30",
-       Resealed(full, best_dim_at, int64_t{1} << 30), "overruns"},
+       Resealed(full, best_dim_at, int64_t{1} << 30), "overruns", true},
+      {"bad train state, weights-only load",
+       Resealed(full, best_count_at, uint32_t{0xFFFFFFFFu}), "implausible",
+       false},
+      {"weights-only file with trailing bytes",
+       with_trailing(ReadAll(weights_path)), "trailing", false},
+      {"full file with trailing bytes", with_trailing(full), "trailing",
+       true},
   };
   const std::string victim = TempPath("bounds_victim.ckpt");
   for (const Case& c : cases) {
     WriteAll(victim, c.bytes);
+    // A failed load leaves the target as it was: weights and train state.
     nn::Linear into(2, 2, &rng);
+    std::vector<Tensor> before;
+    for (const auto& np : into.NamedParameters()) {
+      before.push_back(np.variable.value());
+    }
     nn::TrainState out;
-    const Status s = nn::LoadCheckpoint(victim, &into, &out);
+    out.epoch = 7;
+    out.best_params.emplace_back(std::vector<int64_t>{1}, 4.25f);
+    const Status s = c.load_state ? nn::LoadCheckpoint(victim, &into, &out)
+                                  : nn::LoadCheckpoint(victim, &into);
     EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << c.what;
     EXPECT_NE(s.message().find(c.message), std::string::npos)
         << c.what << ": " << s.message();
+    const auto after = into.NamedParameters();
+    for (size_t i = 0; i < before.size(); ++i) {
+      const Tensor& now = after[i].variable.value();
+      EXPECT_EQ(std::memcmp(now.data(), before[i].data(),
+                            sizeof(float) * static_cast<size_t>(now.size())),
+                0)
+          << c.what << ": " << after[i].name << " changed";
+    }
+    EXPECT_EQ(out.epoch, 7) << c.what;
+    ASSERT_EQ(out.best_params.size(), 1u) << c.what;
+    EXPECT_EQ(out.best_params[0].at(0), 4.25f) << c.what;
+    EXPECT_TRUE(out.opt_slots.empty()) << c.what;
   }
+  // The unspliced files still load, so the cases above fail on the
+  // corruption they inject and nothing else.
+  nn::Linear into(2, 2, &rng);
+  nn::TrainState out;
+  EXPECT_TRUE(nn::LoadCheckpoint(weights_path, &into).ok());
+  EXPECT_TRUE(nn::LoadCheckpoint(path, &into, &out).ok());
+  EXPECT_EQ(out.opt_slots.size(), 1u);
 }
 
 TEST(CheckpointFuzzTest, TruncateFailpointIsCaughtByCrc) {

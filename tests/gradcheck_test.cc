@@ -93,8 +93,8 @@ TEST(GradCheckSuite, EveryTensorKernelHasAnEquivalenceCase) {
   // test fails here.
   const auto declared = ScanTensorKernelNames(EMBSR_REPO_ROOT);
   ASSERT_TRUE(declared.ok()) << declared.status().ToString();
-  EXPECT_GE(declared.value().size(), 26u);
-  for (const char* must : {"MatMul", "RowSoftmax", "RowLogSumExp",
+  EXPECT_GE(declared.value().size(), 23u);
+  for (const char* must : {"MatMul", "RowSoftmax", "SegmentSumRows",
                            "MulRowBroadcast"}) {
     EXPECT_TRUE(std::binary_search(declared.value().begin(),
                                    declared.value().end(), std::string(must)))

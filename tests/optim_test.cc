@@ -12,7 +12,7 @@ namespace {
 using ag::Variable;
 
 Variable QuadraticLoss(const Variable& x, const Tensor& target) {
-  Variable diff = ag::Sub(x, ag::Constant(target));
+  Variable diff = ag::Add(x, ag::Neg(ag::Constant(target)));
   return ag::SumAll(ag::Mul(diff, diff));
 }
 

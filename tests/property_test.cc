@@ -94,30 +94,42 @@ TEST_P(SeededProperty, MultigraphStructuralInvariants) {
     prev = item;
   }
   auto g = SessionMultigraph::Build(seq);
-  // One edge per transition; multi-edges preserved.
-  EXPECT_EQ(g.num_edges(), static_cast<int>(seq.size()) - 1);
+  // One alias entry per position, so one edge per transition (edge e runs
+  // alias[e] -> alias[e + 1] at order e); multi-edges preserved.
+  ASSERT_EQ(g.alias().size(), seq.size());
   // Nodes are exactly the distinct items.
   std::vector<int64_t> distinct = seq;
   std::sort(distinct.begin(), distinct.end());
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   EXPECT_EQ(g.num_nodes(), static_cast<int>(distinct.size()));
-  // Alias maps every position to the node holding its item.
+  // Alias maps every position to the node holding its item, so the edge
+  // at order e is the transition at position e: seq[e] -> seq[e + 1].
   for (size_t i = 0; i < seq.size(); ++i) {
     EXPECT_EQ(g.nodes()[g.alias()[i]], seq[i]);
   }
-  // Edge order attributes are exactly 0..E-1 (chronological).
-  for (int e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(g.edges()[e].order, e);
+  // In/out degrees recounted from alias pairs match the sequence's own
+  // transition counts, and each sums to the edge count.
+  std::vector<int> in_deg(g.num_nodes()), out_deg(g.num_nodes());
+  for (size_t e = 0; e + 1 < seq.size(); ++e) {
+    ++out_deg[g.alias()[e]];
+    ++in_deg[g.alias()[e + 1]];
   }
-  // In/out edge lists partition the edge set.
   int in_total = 0, out_total = 0;
   for (int v = 0; v < g.num_nodes(); ++v) {
-    in_total += static_cast<int>(g.in_edges(v).size());
-    out_total += static_cast<int>(g.out_edges(v).size());
+    const int64_t item = g.nodes()[v];
+    int in_want = 0, out_want = 0;
+    for (size_t e = 0; e + 1 < seq.size(); ++e) {
+      out_want += seq[e] == item;
+      in_want += seq[e + 1] == item;
+    }
+    EXPECT_EQ(in_deg[v], in_want);
+    EXPECT_EQ(out_deg[v], out_want);
+    in_total += in_deg[v];
+    out_total += out_deg[v];
   }
-  EXPECT_EQ(in_total, g.num_edges());
-  EXPECT_EQ(out_total, g.num_edges());
+  EXPECT_EQ(in_total, static_cast<int>(seq.size()) - 1);
+  EXPECT_EQ(out_total, static_cast<int>(seq.size()) - 1);
 }
 
 TEST_P(SeededProperty, RankOfTargetMatchesReferenceSort) {

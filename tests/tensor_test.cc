@@ -132,7 +132,6 @@ TEST(TensorTest, HeapAcquiresCountsOnlyShortDestinations) {
 TEST(TensorKernels, ElementwiseBinary) {
   Tensor a({2}, {1, 2}), b({2}, {3, 5});
   EXPECT_TRUE(Add(a, b).AllClose(Tensor({2}, {4, 7})));
-  EXPECT_TRUE(Sub(a, b).AllClose(Tensor({2}, {-2, -3})));
   EXPECT_TRUE(Mul(a, b).AllClose(Tensor({2}, {3, 10})));
 }
 
@@ -140,12 +139,9 @@ TEST(TensorKernels, Unary) {
   Tensor a({2}, {-1, 2});
   EXPECT_TRUE(Scale(a, 2).AllClose(Tensor({2}, {-2, 4})));
   EXPECT_TRUE(AddScalar(a, 1).AllClose(Tensor({2}, {0, 3})));
-  EXPECT_TRUE(Neg(a).AllClose(Tensor({2}, {1, -2})));
   EXPECT_TRUE(Relu(a).AllClose(Tensor({2}, {0, 2})));
   EXPECT_NEAR(Sigmoid(a).at(0), 1.0f / (1.0f + std::exp(1.0f)), 1e-6);
   EXPECT_NEAR(Tanh(a).at(1), std::tanh(2.0f), 1e-6);
-  EXPECT_NEAR(Exp(a).at(0), std::exp(-1.0f), 1e-6);
-  EXPECT_NEAR(Log(Tensor({1}, {2.0f})).at(0), std::log(2.0f), 1e-6);
 }
 
 TEST(TensorKernels, AddRowBroadcast) {
@@ -176,7 +172,6 @@ TEST(TensorKernels, Reductions) {
   EXPECT_FLOAT_EQ(SumAll(a).at(0), 21);
   EXPECT_TRUE(SumRowsTo1xD(a).AllClose(Tensor({1, 3}, {5, 7, 9})));
   EXPECT_TRUE(SumColsToNx1(a).AllClose(Tensor({2, 1}, {6, 15})));
-  EXPECT_FLOAT_EQ(MeanAll(a), 3.5f);
 }
 
 TEST(TensorKernels, RowSoftmaxSumsToOne) {
