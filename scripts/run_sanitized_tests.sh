@@ -10,6 +10,10 @@
 #           (default: address thread plain contracts)
 #   e.g. scripts/run_sanitized_tests.sh thread -- -R obs_race
 #
+# The ctest args reach every leg. A `-R <regex>` among them narrows each
+# fixed-suite leg (below) to the tests matching both its own suite regex
+# and the caller's; a leg that no test matches is skipped.
+#
 # The `contracts` config builds with -DEMBSR_CHECK_CONTRACTS=ON (no
 # sanitizer): every tensor kernel then verifies its declared per-chunk
 # access sets against the DESIGN.md §11 partition contract before
@@ -36,8 +40,11 @@ build_root="${EMBSR_SAN_BUILD_DIR:-$repo_root}"
 jobs="$(nproc 2>/dev/null || echo 4)"
 
 configs=()
-ctest_args=()
+ctest_args=()  # everything after --, for the full-suite leg
+leg_args=()    # the same less a -R filter, for the fixed-suite legs
+caller_re=""   # the caller's -R filter, if any
 parsing_configs=1
+want_re=0
 for arg in "$@"; do
   if [[ "$arg" == "--" ]]; then
     parsing_configs=0
@@ -49,6 +56,14 @@ for arg in "$@"; do
     esac
   else
     ctest_args+=("$arg")
+    if [[ $want_re == 1 ]]; then
+      caller_re="$arg"
+      want_re=0
+    elif [[ "$arg" == "-R" || "$arg" == "--tests-regex" ]]; then
+      want_re=1
+    else
+      leg_args+=("$arg")
+    fi
   fi
 done
 if [[ ${#configs[@]} -eq 0 ]]; then
@@ -60,6 +75,48 @@ fi
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
+
+# The sorted names of the tests in $build_dir that match ctest regex $1.
+list_tests() {
+  (cd "$build_dir" && ctest -N -R "$1") | sed -n 's/^ *Test *#[0-9]*: //p' |
+    sort
+}
+
+# The -R filter of a fixed-suite leg whose suite regex is $1: that regex,
+# or, under a caller's -R, an exact-name regex of the tests that match both
+# (ctest 3.25 takes one -R and has no test-list file). Empty if none do.
+leg_filter() {
+  if [[ -z "$caller_re" ]]; then
+    printf '%s' "$1"
+    return
+  fi
+  local names
+  names="$(comm -12 <(list_tests "$1") <(list_tests "$caller_re"))"
+  if [[ -n "$names" ]]; then
+    printf '^(%s)$' "$(sed 's/[].*^$+?()|[\\]/\\&/g' <<<"$names" |
+      paste -sd '|')"
+  fi
+}
+
+# run_leg LABEL LOG SUITE_REGEX [NAME=VALUE ...]: one fixed-suite leg, with
+# the given environment.
+run_leg() {
+  local label="$1" log="$2" filter
+  filter="$(leg_filter "$3")"
+  shift 3
+  if [[ -z "$filter" ]]; then
+    echo "=== [$label] no test matches both -R filters; skipped"
+    return 0
+  fi
+  echo "=== [$label] ctest $* (log: $log)"
+  if (cd "$build_dir" && env "$@" ctest --output-on-failure -R "$filter" \
+        ${leg_args[@]+"${leg_args[@]}"} 2>&1 | tee "$log"); then
+    echo "=== [$label] PASS"
+  else
+    echo "=== [$label] FAIL"
+    failed+=("$label")
+  fi
+}
 
 failed=()
 for config in "${configs[@]}"; do
@@ -93,8 +150,6 @@ for config in "${configs[@]}"; do
   # 4-lane par:: pool so the parallel kernel/evaluator paths are exercised
   # under each sanitizer even on boxes where hardware_concurrency is 1
   # (where the default pool would be serial and TSan would see no threads).
-  par_log="$build_dir/ctest-$config-threads4.log"
-  echo "=== [$config] ctest EMBSR_THREADS=4 (log: $par_log)"
   # ctest registers gtest-discovered names (suite.case), so the filter
   # matches the suites from par_test, kernel_equiv_test, determinism_test,
   # obs_race_test, access_sentinel_test, graph_audit_test (whose zoo audit
@@ -105,14 +160,9 @@ for config in "${configs[@]}"; do
   # its suites also match the third leg's `Autograd` prefix) and
   # graph_test's MultigraphMessageSum (EMBSR's segment-sum message
   # aggregation against the dense scatter MatMul, at 1 and 4 lanes).
-  if (cd "$build_dir" && EMBSR_THREADS=4 ctest --output-on-failure \
-        -R '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?|MultigraphMessageSum)\.' \
-        2>&1 | tee "$par_log"); then
-    echo "=== [$config threads=4] PASS"
-  else
-    echo "=== [$config threads=4] FAIL"
-    failed+=("$config-threads4")
-  fi
+  run_leg "$config threads=4" "$build_dir/ctest-$config-threads4.log" \
+    '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?|MultigraphMessageSum)\.' \
+    EMBSR_THREADS=4
 
   # Third leg: the embsr::prof attribution counters under live profiling.
   # EMBSR_PROF=1 arms the profiler at process start (prof/enabled.cc) in
@@ -122,17 +172,9 @@ for config in "${configs[@]}"; do
   # checks: every op's cost function runs under the profiler. Under the thread config this
   # puts the profiler's concurrent record paths in front of TSan, which is
   # the point of the leg.
-  prof_log="$build_dir/ctest-$config-prof.log"
-  echo "=== [$config] ctest EMBSR_PROF=1 EMBSR_THREADS=4 (log: $prof_log)"
-  if (cd "$build_dir" && EMBSR_PROF=1 EMBSR_THREADS=4 ctest \
-        --output-on-failure \
-        -R '^(Prof|CostModel|MemTracker|ParFor|ThreadPool|Autograd|GradCheck|OpTable)' \
-        2>&1 | tee "$prof_log"); then
-    echo "=== [$config prof] PASS"
-  else
-    echo "=== [$config prof] FAIL"
-    failed+=("$config-prof")
-  fi
+  run_leg "$config prof" "$build_dir/ctest-$config-prof.log" \
+    '^(Prof|CostModel|MemTracker|ParFor|ThreadPool|Autograd|GradCheck|OpTable)' \
+    EMBSR_PROF=1 EMBSR_THREADS=4
 
   # Fourth leg: chaos. The serve smoke suite (invariant-only assertions,
   # merges rather than clears armed failpoints) runs with EMBSR_FAILPOINTS
@@ -140,18 +182,9 @@ for config in "${configs[@]}"; do
   # sanitizers watch the serving core's degraded paths, which clean tests
   # never reach. Only ServeChaos.* runs here: the exact-behavior serve
   # tests arm their own failpoints and would be perturbed by the env spec.
-  chaos_log="$build_dir/ctest-$config-chaos.log"
-  chaos_spec='serve.score=0.3x200,serve.store_read=0.15x100,serve.queue_full=0.05x40'
-  echo "=== [$config] ctest EMBSR_FAILPOINTS=$chaos_spec (log: $chaos_log)"
-  if (cd "$build_dir" && EMBSR_FAILPOINTS="$chaos_spec" ctest \
-        --output-on-failure \
-        -R '^ServeChaos\.' \
-        2>&1 | tee "$chaos_log"); then
-    echo "=== [$config chaos] PASS"
-  else
-    echo "=== [$config chaos] FAIL"
-    failed+=("$config-chaos")
-  fi
+  run_leg "$config chaos" "$build_dir/ctest-$config-chaos.log" \
+    '^ServeChaos\.' \
+    EMBSR_FAILPOINTS='serve.score=0.3x200,serve.store_read=0.15x100,serve.queue_full=0.05x40'
 done
 
 if [[ ${#failed[@]} -gt 0 ]]; then

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace embsr {
 
@@ -198,21 +199,6 @@ Result<ProcessedDataset> Preprocess(const std::vector<Session>& sessions,
   if (out.train.empty() || out.test.empty()) {
     return Status::FailedPrecondition("a split came out empty");
   }
-  return out;
-}
-
-BatchIterator::BatchIterator(size_t n, size_t batch_size, Rng* rng)
-    : batch_size_(batch_size == 0 ? 1 : batch_size) {
-  order_.resize(n);  // lint: allow(raw-resize): index permutation
-  for (size_t i = 0; i < n; ++i) order_[i] = i;
-  if (rng != nullptr) rng->Shuffle(&order_);
-}
-
-std::vector<size_t> BatchIterator::Next() {
-  std::vector<size_t> out;
-  const size_t end = std::min(pos_ + batch_size_, order_.size());
-  out.assign(order_.begin() + pos_, order_.begin() + end);
-  pos_ = end;
   return out;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "data/session.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace embsr {
@@ -59,22 +58,6 @@ void MergeSuccessive(const std::vector<MicroBehavior>& events,
 /// Examples here.
 Example ExampleFromEvents(std::vector<int64_t> flat_items,
                           std::vector<int64_t> flat_ops);
-
-/// Mini-batch index iterator: shuffles [0, n) and yields chunks.
-class BatchIterator {
- public:
-  BatchIterator(size_t n, size_t batch_size, Rng* rng);
-
-  /// Next chunk of indices; empty when exhausted.
-  std::vector<size_t> Next();
-
-  bool Done() const { return pos_ >= order_.size(); }
-
- private:
-  std::vector<size_t> order_;
-  size_t batch_size_;
-  size_t pos_ = 0;
-};
 
 }  // namespace embsr
 

@@ -45,10 +45,6 @@ void RankAccumulator::Add(int rank) {
   ranks_.push_back(rank);
 }
 
-void RankAccumulator::Merge(const RankAccumulator& other) {
-  ranks_.insert(ranks_.end(), other.ranks_.begin(), other.ranks_.end());
-}
-
 double RankAccumulator::HitAt(int k) const {
   if (ranks_.empty()) return 0.0;
   int hits = 0;

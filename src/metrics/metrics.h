@@ -28,7 +28,6 @@ std::vector<int64_t> TopKIndices(const std::vector<float>& scores,
 class RankAccumulator {
  public:
   void Add(int rank);
-  void Merge(const RankAccumulator& other);
 
   int count() const { return static_cast<int>(ranks_.size()); }
   /// Fraction (in %) of cases with rank <= k.

@@ -13,7 +13,7 @@ namespace nn {
 
 /// Everything beyond raw weights that exact training resumption needs.
 /// The optimizer portion is opaque to nn (a scalar list plus a tensor
-/// list) so this header does not depend on optim; optim::Optimizer
+/// list) so this header does not depend on optim; optim::Adam
 /// exports/imports into these fields.
 struct TrainState {
   /// Number of completed epochs (the resume point).
@@ -33,14 +33,14 @@ struct TrainState {
 /// Binary checkpointing of a module's parameters and (optionally) its full
 /// training state.
 ///
-/// Format v2 (little-endian):
-///   magic "EMBSRCKP" (8 bytes), version u32 = 2, flags u32 (bit0 = has
-///   TrainState), parameter count u32, then per parameter: name length u32
-///   + name bytes, rank u32 + dims i64[], data f32[]. When bit0 is set the
-///   TrainState follows: epoch i32, best_mrr f64, best-params tensor list,
-///   RNG state (4x u64 + u32 flag + f64), optimizer scalars (count u32 +
-///   f64[]) and slot tensor list. The file ends with a u32 CRC-32 of every
-///   preceding byte, so truncation and bit rot are always detected.
+/// Format v2, a sealed file (util/sealed_file.h: magic "EMBSRCKP", version
+/// u32 = 2, payload, then a u32 CRC-32 of every preceding byte, so
+/// truncation and bit rot are always detected). Payload, little-endian:
+///   flags u32 (bit0 = has TrainState), parameter count u32, then per
+///   parameter: name length u32 + name bytes, rank u32 + dims i64[], data
+///   f32[]. When bit0 is set the TrainState follows: epoch i32, best_mrr
+///   f64, best-params tensor list, RNG state (4x u64 + u32 flag + f64),
+///   optimizer scalars (count u32 + f64[]) and slot tensor list.
 ///
 /// Any other version is rejected as InvalidArgument. Loading verifies that
 /// names, order and shapes match the target module exactly, so a checkpoint

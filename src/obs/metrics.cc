@@ -62,12 +62,6 @@ std::vector<int64_t> Histogram::bucket_counts() const {
   return out;
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-}
-
 const std::vector<double>& DefaultLatencyBucketsMs() {
   static const std::vector<double> kBuckets = {
       0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0,
@@ -153,13 +147,6 @@ std::string Registry::SnapshotJson() const {
   w.EndObject();
   w.EndObject();
   return w.str();
-}
-
-void Registry::ResetForTest() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, c] : counters_) c->Reset();
-  for (auto& [name, g] : gauges_) g->Reset();
-  for (auto& [name, h] : histograms_) h->Reset();
 }
 
 }  // namespace obs

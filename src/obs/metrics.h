@@ -26,9 +26,6 @@ class Counter {
   int64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class Registry;
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
   std::atomic<int64_t> value_{0};
 };
 
@@ -39,9 +36,6 @@ class Gauge {
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class Registry;
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
   std::atomic<double> value_{0.0};
 };
 
@@ -72,9 +66,6 @@ class Histogram {
   double sum() const { return sum_.load(std::memory_order_relaxed); }
 
  private:
-  friend class Registry;
-  void Reset();
-
   std::vector<double> bounds_;
   std::vector<std::atomic<int64_t>> buckets_;  // bounds_.size() + 1
   std::atomic<int64_t> count_{0};
@@ -117,9 +108,6 @@ class Registry {
   /// Snapshot serialized as one JSON object:
   /// {"counters":{...},"gauges":{...},"histograms":{name:{...}}}.
   std::string SnapshotJson() const;
-
-  /// Zeroes all values (handles stay valid). Tests only.
-  void ResetForTest();
 
  private:
   Registry() = default;

@@ -1,42 +1,19 @@
 #include "optim/optimizer.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/check.h"
 
 namespace embsr {
 namespace optim {
 
-void Optimizer::ZeroGrad() {
-  for (auto& p : params_) p.ZeroGrad();
-}
-
-void Optimizer::ExportState(std::vector<double>* scalars,
-                            std::vector<Tensor>* slots) const {
-  scalars->clear();
-  slots->clear();
-}
-
-Status Optimizer::ImportState(const std::vector<double>& scalars,
-                              const std::vector<Tensor>& slots) {
-  if (!scalars.empty() || !slots.empty()) {
-    return Status::FailedPrecondition(
-        "stateless optimizer given non-empty state");
-  }
-  return Status::OK();
-}
-
 namespace {
 
-/// Shared by Sgd/Adam imports: checks a slot list against the live buffers
-/// before any mutation so a failed import leaves the optimizer untouched.
+/// Checks a slot list against the live buffers before any mutation so a
+/// failed import leaves the optimizer untouched.
 Status CheckSlots(const std::vector<Tensor>& slots, size_t offset,
                   const std::vector<Tensor>& expected, const char* what) {
-  if (slots.size() < offset + expected.size()) {
-    return Status::FailedPrecondition(std::string("optimizer state has too "
-                                                  "few slots for ") +
-                                      what);
-  }
   for (size_t i = 0; i < expected.size(); ++i) {
     if (slots[offset + i].shape() != expected[i].shape()) {
       return Status::FailedPrecondition(
@@ -49,62 +26,24 @@ Status CheckSlots(const std::vector<Tensor>& slots, size_t offset,
 
 }  // namespace
 
-Sgd::Sgd(std::vector<ag::Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params)), momentum_(momentum) {
-  lr_ = lr;
-  if (momentum_ != 0.0f) {
-    velocity_.reserve(params_.size());
-    for (const auto& p : params_) {
-      velocity_.push_back(Tensor::Zeros(p.value().shape()));
-    }
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    auto& p = params_[i];
-    if (!p.has_grad()) continue;
-    Tensor g = p.GradOrZeros();
-    if (momentum_ != 0.0f) {
-      velocity_[i].ScaleInPlace(momentum_);
-      velocity_[i].AddInPlace(g);
-      g = velocity_[i];
-    }
-    p.mutable_value().SubInPlace(Scale(g, lr_));
-  }
-}
-
-void Sgd::ExportState(std::vector<double>* scalars,
-                      std::vector<Tensor>* slots) const {
-  scalars->clear();
-  *slots = velocity_;
-}
-
-Status Sgd::ImportState(const std::vector<double>& scalars,
-                        const std::vector<Tensor>& slots) {
-  if (!scalars.empty() || slots.size() != velocity_.size()) {
-    return Status::FailedPrecondition("SGD state layout mismatch");
-  }
-  Status s = CheckSlots(slots, 0, velocity_, "SGD velocity");
-  if (!s.ok()) return s;
-  velocity_ = slots;
-  return Status::OK();
-}
-
 Adam::Adam(std::vector<ag::Variable> params, float lr, float beta1,
            float beta2, float eps, float weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
+      lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
       weight_decay_(weight_decay) {
-  lr_ = lr;
   m_.reserve(params_.size());
   v_.reserve(params_.size());
   for (const auto& p : params_) {
     m_.push_back(Tensor::Zeros(p.value().shape()));
     v_.push_back(Tensor::Zeros(p.value().shape()));
   }
+}
+
+void Adam::ZeroGrad() {
+  for (auto& p : params_) p.ZeroGrad();
 }
 
 void Adam::Step() {

@@ -9,73 +9,41 @@
 namespace embsr {
 namespace optim {
 
-/// Interface for gradient-based optimizers over a fixed parameter list.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<ag::Variable> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Applies one update using the parameters' accumulated gradients.
-  /// Parameters with no accumulated gradient are skipped.
-  virtual void Step() = 0;
-
-  /// Clears all parameter gradients.
-  void ZeroGrad();
-
-  /// Serializes the optimizer's internal state (step counters, moment
-  /// buffers) into an opaque scalar list + tensor list, the shape the
-  /// checkpoint format stores (nn::TrainState). The base implementation
-  /// exports nothing (stateless optimizers).
-  virtual void ExportState(std::vector<double>* scalars,
-                           std::vector<Tensor>* slots) const;
-
-  /// Restores state produced by ExportState of the same optimizer type
-  /// over the same parameter list. FailedPrecondition on count/shape
-  /// mismatch; the optimizer is left untouched on error.
-  virtual Status ImportState(const std::vector<double>& scalars,
-                             const std::vector<Tensor>& slots);
-
-  void set_lr(float lr) { lr_ = lr; }
-  float lr() const { return lr_; }
-
- protected:
-  std::vector<ag::Variable> params_;
-  float lr_ = 0.001f;
-};
-
-/// Plain SGD with optional momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<ag::Variable> params, float lr, float momentum = 0.0f);
-
-  void Step() override;
-  void ExportState(std::vector<double>* scalars,
-                   std::vector<Tensor>* slots) const override;
-  Status ImportState(const std::vector<double>& scalars,
-                     const std::vector<Tensor>& slots) override;
-
- private:
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) with bias correction; the paper's optimizer.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba 2015) with bias correction over a fixed parameter
+/// list; the paper's optimizer.
+class Adam {
  public:
   Adam(std::vector<ag::Variable> params, float lr, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f, float weight_decay = 0.0f);
 
-  void Step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Applies one update using the parameters' accumulated gradients.
+  /// Parameters with no accumulated gradient are skipped.
+  void Step();
+
+  /// Clears all parameter gradients.
+  void ZeroGrad();
+
+  /// Serializes the step count and moment buffers into an opaque scalar
+  /// list + tensor list, the shape the checkpoint format stores
+  /// (nn::TrainState).
   void ExportState(std::vector<double>* scalars,
-                   std::vector<Tensor>* slots) const override;
+                   std::vector<Tensor>* slots) const;
+
+  /// Restores state produced by ExportState over the same parameter list.
+  /// FailedPrecondition on count/shape mismatch; the optimizer is left
+  /// untouched on error.
   Status ImportState(const std::vector<double>& scalars,
-                     const std::vector<Tensor>& slots) override;
+                     const std::vector<Tensor>& slots);
+
+  void set_lr(float lr) { lr_ = lr; }
+  float lr() const { return lr_; }
 
  private:
+  std::vector<ag::Variable> params_;
+  float lr_;
   float beta1_, beta2_, eps_, weight_decay_;
   int64_t t_ = 0;
   std::vector<Tensor> m_;

@@ -12,7 +12,9 @@ namespace robust {
 
 namespace {
 
-constexpr uint64_t kDefaultSeed = 0xFA11FA11FA11FA11ULL;
+// The draws' fixed seed: 0xFA11FA11FA11FA11 rounded to a double's 53-bit
+// mantissa, the seed every recorded chaos run drew from, so they replay.
+constexpr uint64_t kSeed = 0xFA11FA11FA11F800ULL;
 
 /// Parses one `site=prob[xLIMIT][@SKIP|@DELAYms]` clause into (site, spec).
 Status ParseClause(const std::string& clause, std::string* site,
@@ -74,9 +76,7 @@ Status ParseClause(const std::string& clause, std::string* site,
 
 }  // namespace
 
-Failpoints::Failpoints()
-    : rng_(static_cast<uint64_t>(GetEnvDouble(
-          "EMBSR_FAILPOINT_SEED", static_cast<double>(kDefaultSeed)))) {}
+Failpoints::Failpoints() : rng_(kSeed) {}
 
 Failpoints& Failpoints::Global() {
   static Failpoints* instance = [] {

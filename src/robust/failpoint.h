@@ -33,8 +33,8 @@ namespace robust {
 ///            exactly one mode: ShouldFail() ignores latency sites and
 ///            ShouldDelayMs() ignores error sites.
 ///
-/// Draws come from a dedicated seeded RNG (EMBSR_FAILPOINT_SEED), so
-/// injected chaos is reproducible like everything else in this repo.
+/// Draws come from a dedicated RNG with a fixed seed, so injected chaos is
+/// reproducible like everything else in this repo.
 /// Trigger counts are kept per site and mirrored into the obs metrics
 /// registry (`robust/failpoint_triggers` plus `robust/failpoint/<site>`).
 

@@ -1,13 +1,12 @@
 #include "serve/session_store.h"
 
-#include <cstring>
 #include <utility>
 
 #include "data/preprocess.h"
 #include "obs/metrics.h"
 #include "robust/failpoint.h"
-#include "util/crc32.h"
 #include "util/fs_util.h"
+#include "util/sealed_file.h"
 
 namespace embsr {
 namespace serve {
@@ -15,68 +14,11 @@ namespace serve {
 namespace {
 
 constexpr char kMagic[8] = {'E', 'M', 'B', 'S', 'R', 'S', 'S', 'T'};
-constexpr uint32_t kVersion = 2;  // checkpoint-v2 conventions (CRC trailer)
+constexpr uint32_t kVersion = 3;
 // Parse-time plausibility caps: a corrupt length field must fail fast with
 // an offset, not drive a multi-gigabyte allocation.
 constexpr uint64_t kMaxSessions = 1u << 26;
 constexpr uint64_t kMaxEventsPerSession = 1u << 20;
-
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-void AppendI64Vec(std::string* out, const std::vector<int64_t>& v) {
-  AppendPod(out, static_cast<uint64_t>(v.size()));
-  for (int64_t x : v) AppendPod(out, x);
-}
-
-/// Bounds-checked cursor (the nn/checkpoint.cc idiom): every failure names
-/// the byte offset where the snapshot went bad.
-class ByteReader {
- public:
-  explicit ByteReader(const std::string& data) : data_(data) {}
-
-  size_t offset() const { return off_; }
-  size_t remaining() const { return data_.size() - off_; }
-
-  Status Read(void* dst, size_t n, const char* what) {
-    if (n > remaining()) {
-      return Status::InvalidArgument(
-          "truncated session snapshot: need " + std::to_string(n) +
-          " bytes for " + what + " at offset " + std::to_string(off_) +
-          ", have " + std::to_string(remaining()));
-    }
-    std::memcpy(  // lint: allow(data-arith): byte I/O, n <= remaining() checked above
-        dst, data_.data() + off_, n);
-    off_ += n;
-    return Status::OK();
-  }
-
-  template <typename T>
-  Status ReadPod(T* value, const char* what) {
-    return Read(value, sizeof(T), what);
-  }
-
-  Status ReadI64Vec(std::vector<int64_t>* out, uint64_t cap,
-                    const char* what) {
-    uint64_t n = 0;
-    Status s = ReadPod(&n, what);
-    if (!s.ok()) return s;
-    if (n > cap || n * sizeof(int64_t) > remaining()) {
-      return Status::InvalidArgument(
-          std::string("corrupt session snapshot: implausible length for ") +
-          what + " at offset " + std::to_string(off_));
-    }
-    out->resize(n);
-    return n == 0 ? Status::OK()
-                  : Read(out->data(), n * sizeof(int64_t), what);
-  }
-
- private:
-  const std::string& data_;
-  size_t off_ = 0;
-};
 
 }  // namespace
 
@@ -150,21 +92,17 @@ void SessionStore::MaybeEvict() {
 }
 
 std::string SessionStore::Serialize() const {
-  std::string out;
-  out.append(kMagic, sizeof(kMagic));
-  AppendPod(&out, kVersion);
-  AppendPod(&out, static_cast<uint64_t>(sessions_.size()));
+  SealedWriter w(kMagic, kVersion);
+  w.Write(static_cast<uint64_t>(sessions_.size()));
   for (const auto& [id, state] : sessions_) {
-    const Example ex = state.ToExample();
-    AppendPod(&out, id);
-    AppendI64Vec(&out, ex.macro_items);
-    for (const auto& ops : ex.macro_ops) AppendI64Vec(&out, ops);
-    AppendI64Vec(&out, ex.flat_items);
-    AppendI64Vec(&out, ex.flat_ops);
+    w.Write(id);
+    w.Write(static_cast<uint64_t>(state.flat_items.size()));
+    w.WriteBytes(state.flat_items.data(),
+                 sizeof(int64_t) * state.flat_items.size());
+    w.WriteBytes(state.flat_ops.data(),
+                 sizeof(int64_t) * state.flat_ops.size());
   }
-  const uint32_t crc = Crc32(out.data(), out.size());
-  AppendPod(&out, crc);
-  return out;
+  return std::move(w).Seal();
 }
 
 Status SessionStore::SaveSnapshot(const std::string& path) const {
@@ -179,70 +117,35 @@ Status SessionStore::LoadSnapshot(const std::string& path, int64_t num_items,
                                   int64_t num_operations) {
   auto data = ReadFileToString(path);
   if (!data.ok()) return data.status();
-  const std::string& bytes = data.value();
-  if (bytes.size() < sizeof(kMagic) + sizeof(uint32_t) * 2) {
-    return Status::InvalidArgument("session snapshot too short: " +
-                                   std::to_string(bytes.size()) + " bytes");
-  }
-  const uint32_t stored_crc = [&] {
-    uint32_t crc = 0;
-    std::memcpy(&crc, bytes.data() + bytes.size() - sizeof(crc),  // lint: allow(data-arith): byte I/O, size checked above
-                sizeof(crc));
-    return crc;
-  }();
-  const uint32_t actual_crc =
-      Crc32(bytes.data(), bytes.size() - sizeof(uint32_t));
-  if (stored_crc != actual_crc) {
-    return Status::InvalidArgument("session snapshot CRC mismatch");
-  }
-
-  ByteReader r(bytes);
-  char magic[sizeof(kMagic)];
-  Status s = r.Read(magic, sizeof(magic), "magic");
+  SealedReader r(data.value(), "session snapshot");
+  Status s = r.Open(kMagic, kVersion);
   if (!s.ok()) return s;
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a session snapshot (bad magic)");
-  }
-  uint32_t version = 0;
-  s = r.ReadPod(&version, "version");
-  if (!s.ok()) return s;
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported session snapshot version " +
-                                   std::to_string(version));
-  }
   uint64_t count = 0;
-  s = r.ReadPod(&count, "session count");
+  s = r.Read(&count, "session count");
   if (!s.ok()) return s;
-  if (count > kMaxSessions) {
-    return Status::InvalidArgument(
-        "corrupt session snapshot: implausible session count");
-  }
+  if (count > kMaxSessions) return r.Corrupt("implausible session count");
 
   std::map<uint64_t, SessionState> loaded;
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0;
-    s = r.ReadPod(&id, "session id");
+    s = r.Read(&id, "session id");
     if (!s.ok()) return s;
-    std::vector<int64_t> macro_items;
-    s = r.ReadI64Vec(&macro_items, kMaxEventsPerSession, "macro items");
+    uint64_t events = 0;
+    s = r.Read(&events, "event count");
     if (!s.ok()) return s;
-    std::vector<std::vector<int64_t>> macro_ops(macro_items.size());
-    for (auto& ops : macro_ops) {
-      s = r.ReadI64Vec(&ops, kMaxEventsPerSession, "macro ops");
-      if (!s.ok()) return s;
+    if (events > kMaxEventsPerSession ||
+        2 * sizeof(int64_t) * events > r.remaining()) {
+      return r.Corrupt("implausible event count " + std::to_string(events));
     }
+    const size_t column_bytes = sizeof(int64_t) * events;
     SessionState state;
-    s = r.ReadI64Vec(&state.flat_items, kMaxEventsPerSession, "flat items");
+    state.flat_items.assign(events, 0);
+    state.flat_ops.assign(events, 0);
+    s = r.ReadBytes(state.flat_items.data(), column_bytes, "flat items");
     if (!s.ok()) return s;
-    s = r.ReadI64Vec(&state.flat_ops, kMaxEventsPerSession, "flat ops");
+    s = r.ReadBytes(state.flat_ops.data(), column_bytes, "flat ops");
     if (!s.ok()) return s;
-    if (state.flat_ops.size() != state.flat_items.size()) {
-      return Status::InvalidArgument(
-          "corrupt session snapshot: flat items/ops length mismatch at "
-          "offset " +
-          std::to_string(r.offset()));
-    }
-    for (size_t e = 0; e < state.flat_items.size(); ++e) {
+    for (size_t e = 0; e < events; ++e) {
       const int64_t item = state.flat_items[e];
       const int64_t op = state.flat_ops[e];
       if (item < 0 || item >= num_items || op < 0 || op >= num_operations) {
@@ -254,22 +157,10 @@ Status SessionStore::LoadSnapshot(const std::string& path, int64_t num_items,
             " items and " + std::to_string(num_operations) + " operations");
       }
     }
-    // The macro sections are derived data: they must be exactly what the
-    // flat run rebuilds to, or the image is inconsistent.
-    const Example rebuilt = state.ToExample();
-    if (rebuilt.macro_items != macro_items || rebuilt.macro_ops != macro_ops) {
-      return Status::InvalidArgument(
-          "corrupt session snapshot: macro sections of session " +
-          std::to_string(id) + " differ from its flat run at offset " +
-          std::to_string(r.offset()));
-    }
     loaded.emplace(id, std::move(state));
   }
-  if (r.remaining() != sizeof(uint32_t)) {
-    return Status::InvalidArgument(
-        "corrupt session snapshot: trailing bytes at offset " +
-        std::to_string(r.offset()));
-  }
+  s = r.End();
+  if (!s.ok()) return s;
 
   sessions_ = std::move(loaded);
   touch_seq_ = 0;

@@ -51,11 +51,13 @@ struct SessionStoreConfig {
 ///
 /// Not internally synchronized: the serving frontend processes requests one
 /// at a time off its admission queue (see ServeFrontend), which is the
-/// store's one writer. Snapshots use the checkpoint-v2 conventions: the
-/// whole image is assembled in memory, CRC-32'd over every preceding byte,
-/// and written atomically (tmp + fsync + rename via AtomicWriteFile), so a
-/// crash mid-snapshot never corrupts the previous one, and truncation or
-/// bit rot is always detected at load.
+/// store's one writer. A snapshot is a sealed file (util/sealed_file.h:
+/// magic "EMBSRSST", version, payload, CRC-32), written atomically (tmp +
+/// fsync + rename via AtomicWriteFile), so a crash mid-snapshot never
+/// corrupts the previous one, and truncation or bit rot is always detected
+/// at load. Payload v3: session count u64, then per session in id order its
+/// id u64, event count u64, items i64[count] and operations i64[count]:
+/// only the run, since the model input is rebuilt from it.
 ///
 /// The failpoint site "serve.store_read" injects a *transient* lookup
 /// failure into ApplyEvent/Get — the unit the frontend's retry-with-backoff
@@ -87,9 +89,8 @@ class SessionStore {
   [[nodiscard]] Status SaveSnapshot(const std::string& path) const;
 
   /// Replaces the store contents with a snapshot's. Bounds-checked parse,
-  /// CRC verified first; each session is rebuilt from its flat sections and
-  /// must reproduce its stored macro sections, and each of its events must
-  /// have an item in [0, num_items) and an operation in
+  /// magic, version and CRC verified first (any version but 3 is rejected);
+  /// each event must have an item in [0, num_items) and an operation in
   /// [0, num_operations). The defaults bound nothing but the sign: a bare
   /// store knows no vocabulary (ServeFrontend::LoadSnapshot passes its
   /// own). On any error the store is left unchanged. LRU recency restarts

@@ -212,18 +212,6 @@ Tensor& Tensor::AddInPlace(const Tensor& other) {
   return *this;
 }
 
-Tensor& Tensor::SubInPlace(const Tensor& other) {
-  EMBSR_CHECK(shape_ == other.shape_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] -= other.data_[i];
-  return *this;
-}
-
-Tensor& Tensor::MulInPlace(const Tensor& other) {
-  EMBSR_CHECK(shape_ == other.shape_);
-  for (size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
-  return *this;
-}
-
 Tensor& Tensor::ScaleInPlace(float s) {
   for (auto& x : data_) x *= s;
   return *this;

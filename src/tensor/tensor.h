@@ -133,11 +133,9 @@ class Tensor {
   /// Copy of a single row as a [1, cols] tensor.
   Tensor Row(int64_t r) const;
 
-  // -- In-place arithmetic (used by the optimizers) ------------------------------
+  // -- In-place arithmetic (gradient accumulation and clipping) -----------------
 
   Tensor& AddInPlace(const Tensor& other);
-  Tensor& SubInPlace(const Tensor& other);
-  Tensor& MulInPlace(const Tensor& other);
   Tensor& ScaleInPlace(float s);
   Tensor& Fill(float value);
 

@@ -96,11 +96,6 @@ std::vector<std::string> Table3ModelNames() {
           "BERT4Rec", "SGNN-HN", "RIB",  "HUP",   "MKM-SR", "EMBSR"};
 }
 
-std::vector<std::string> MacroModelNames() {
-  return {"S-POP", "SKNN",     "NARM",   "STAMP",
-          "SR-GNN", "GC-SAN", "BERT4Rec", "SGNN-HN"};
-}
-
 TrainConfig TinyZooConfig() {
   TrainConfig cfg;
   cfg.embedding_dim = 8;

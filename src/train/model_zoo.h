@@ -22,9 +22,6 @@ std::vector<std::string> ZooModelNames();
 /// The twelve systems of the paper's Table III, in column order.
 std::vector<std::string> Table3ModelNames();
 
-/// The macro-behavior subset of the baselines (no operation inputs).
-std::vector<std::string> MacroModelNames();
-
 /// The tiny zoo fixture the tape audit (src/analyze), the model gradcheck
 /// (src/verify) and the batched audit (tests/batch_equiv_test.cc) build
 /// every model on: 12 items, 4 operations, d = 8, 16 positions, seed 17.

@@ -22,12 +22,13 @@ constexpr std::array<uint32_t, 256> kTable = MakeTable();
 
 }  // namespace
 
-uint32_t Crc32Update(uint32_t state, const void* data, size_t n) {
+uint32_t Crc32(const void* data, size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
+  uint32_t state = 0xFFFFFFFFu;
   for (size_t i = 0; i < n; ++i) {
     state = kTable[(state ^ p[i]) & 0xFFu] ^ (state >> 8);
   }
-  return state;
+  return state ^ 0xFFFFFFFFu;
 }
 
 }  // namespace embsr

@@ -6,22 +6,10 @@
 
 namespace embsr {
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib/PNG variant).
-/// Used by the checkpoint format to detect torn writes and bit rot; a
+/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320, the zlib/PNG variant) of
+/// `n` bytes. The sealed-file trailer (util/sealed_file.h) is one; a
 /// single-bit flip anywhere in the covered range always changes the sum.
-///
-/// `Crc32(data, n)` computes the checksum of one buffer. For incremental
-/// use, seed with `kCrc32Init`, feed chunks through `Crc32Update`, and
-/// finalize with `Crc32Final`.
-inline constexpr uint32_t kCrc32Init = 0xFFFFFFFFu;
-
-uint32_t Crc32Update(uint32_t state, const void* data, size_t n);
-
-inline uint32_t Crc32Final(uint32_t state) { return state ^ 0xFFFFFFFFu; }
-
-inline uint32_t Crc32(const void* data, size_t n) {
-  return Crc32Final(Crc32Update(kCrc32Init, data, n));
-}
+uint32_t Crc32(const void* data, size_t n);
 
 }  // namespace embsr
 

@@ -106,12 +106,6 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-int Rng::GeometricCapped(double continue_prob, int cap) {
-  int n = 0;
-  while (n < cap && Bernoulli(continue_prob)) ++n;
-  return n;
-}
-
 uint64_t DeriveSeed(uint64_t seed, uint64_t salt) {
   uint64_t sm = seed ^ (salt * 0x9E3779B97F4A7C15ULL);
   return SplitMix64(&sm);

@@ -53,9 +53,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
-  /// Geometric-ish sample: number of successes before failure, capped.
-  int GeometricCapped(double continue_prob, int cap);
-
   /// In-place Fisher-Yates shuffle of indices.
   template <typename T>
   void Shuffle(std::vector<T>* v) {

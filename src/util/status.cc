@@ -24,8 +24,6 @@ const char* CodeName(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kResourceExhausted:
       return "ResourceExhausted";
-    case StatusCode::kUnavailable:
-      return "Unavailable";
   }
   return "Unknown";
 }

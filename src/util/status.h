@@ -23,9 +23,6 @@ enum class StatusCode {
   /// A bounded resource (admission queue, capacity budget) is full and the
   /// request was shed instead of queued unboundedly.
   kResourceExhausted,
-  /// A dependency is temporarily down (circuit open, transient fault);
-  /// retrying later may succeed.
-  kUnavailable,
 };
 
 /// A Status describes the outcome of an operation: OK, or an error code
@@ -61,9 +58,6 @@ class Status {
   }
   static Status ResourceExhausted(std::string msg) {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg) {
-    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

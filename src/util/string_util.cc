@@ -37,11 +37,6 @@ std::string FormatDouble(double value, int digits) {
   return buf;
 }
 
-std::string PadLeft(const std::string& s, size_t width) {
-  if (s.size() >= width) return s.substr(0, width);
-  return std::string(width - s.size(), ' ') + s;
-}
-
 std::string PadRight(const std::string& s, size_t width) {
   if (s.size() >= width) return s.substr(0, width);
   return s + std::string(width - s.size(), ' ');

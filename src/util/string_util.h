@@ -16,9 +16,6 @@ std::vector<std::string> Split(const std::string& s, char sep);
 /// Formats a double with `digits` decimal places, e.g. 12.34.
 std::string FormatDouble(double value, int digits = 2);
 
-/// Left-pads or truncates `s` to exactly `width` characters.
-std::string PadLeft(const std::string& s, size_t width);
-
 /// Right-pads or truncates `s` to exactly `width` characters.
 std::string PadRight(const std::string& s, size_t width);
 

@@ -29,8 +29,6 @@ class WallTimer {
     return static_cast<double>(NowNs() - start_ns_) / 1e9;
   }
 
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
-
  private:
   int64_t start_ns_;
 };

@@ -243,26 +243,5 @@ TEST(PreprocessTest, TotalMicroBehaviorsCountsTargets) {
   EXPECT_EQ(d.TotalMicroBehaviors(), expected);
 }
 
-TEST(BatchIteratorTest, CoversAllIndicesOnce) {
-  Rng rng(1);
-  BatchIterator it(10, 3, &rng);
-  std::multiset<size_t> seen;
-  while (!it.Done()) {
-    auto batch = it.Next();
-    EXPECT_LE(batch.size(), 3u);
-    seen.insert(batch.begin(), batch.end());
-  }
-  EXPECT_EQ(seen.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(seen.count(i), 1u);
-}
-
-TEST(BatchIteratorTest, NoRngMeansSequential) {
-  BatchIterator it(5, 2, nullptr);
-  EXPECT_EQ(it.Next(), (std::vector<size_t>{0, 1}));
-  EXPECT_EQ(it.Next(), (std::vector<size_t>{2, 3}));
-  EXPECT_EQ(it.Next(), (std::vector<size_t>{4}));
-  EXPECT_TRUE(it.Done());
-}
-
 }  // namespace
 }  // namespace embsr

@@ -45,15 +45,6 @@ TEST(RankAccumulatorTest, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(acc.MrrAt(5), 0.0);
 }
 
-TEST(RankAccumulatorTest, MergeCombines) {
-  RankAccumulator a, b;
-  a.Add(1);
-  b.Add(100);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 2);
-  EXPECT_DOUBLE_EQ(a.HitAt(10), 50.0);
-}
-
 TEST(RankAccumulatorTest, MonotoneInK) {
   RankAccumulator acc;
   for (int r : {1, 2, 4, 8, 16, 32}) acc.Add(r);

@@ -5,7 +5,6 @@
 // fact, not a race.
 
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -548,32 +547,41 @@ TEST(ServeTest, SnapshotEverySingleBitFlipIsRejected) {
   ExpectEveryImageRejected(images, "serve_snapshot_flip.bin");
 }
 
-TEST(ServeTest, SnapshotWhoseMacroSectionsDisagreeWithItsRunIsRejected) {
+// The version-2 layout stored each session's merged macro view next to its
+// run. Such an image, hand-built for session 42's run (5,0) (5,2) (7,1) and
+// sealed with a valid CRC, is refused by its version; the store keeps what
+// it held.
+TEST(ServeTest, V2SnapshotIsRejectedAsUnsupportedVersion) {
   FailpointEnvGuard guard;
-  serve::SessionStore store;
-  ASSERT_TRUE(store.ApplyEvent(42, {5, 0}).ok());
-  ASSERT_TRUE(store.ApplyEvent(42, {5, 2}).ok());
-  ASSERT_TRUE(store.ApplyEvent(42, {7, 1}).ok());
-  std::string bytes = store.Serialize();
-  // Magic 8, version 4, session count 8, session id 8, macro-item count 8,
-  // first macro item 8: the second macro item (7) follows. Rewrite it to 9
-  // and reseal the CRC, so only the consistency check can catch it.
-  constexpr size_t kSecondMacroItem = 8 + 4 + 8 + 8 + 8 + 8;
-  int64_t item = 0;
-  std::memcpy(&item, bytes.data() + kSecondMacroItem, sizeof(item));
-  ASSERT_EQ(item, 7);
-  item = 9;
-  std::memcpy(bytes.data() + kSecondMacroItem, &item, sizeof(item));
-  const size_t body = bytes.size() - sizeof(uint32_t);
-  const uint32_t crc = Crc32(bytes.data(), body);
-  std::memcpy(bytes.data() + body, &crc, sizeof(crc));
-  ExpectEveryImageRejected({bytes}, "serve_snapshot_macro.bin");
-  serve::SessionStore fresh;
-  EXPECT_NE(fresh.LoadSnapshot(TempPath("serve_snapshot_macro.bin"))
-                .message()
-                .find("macro sections"),
-            std::string::npos);
-  EXPECT_EQ(fresh.size(), 0u);
+  std::string image("EMBSRSST", 8);
+  auto put = [&image](auto value) {
+    image.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  auto put_column = [&put](const std::vector<int64_t>& column) {
+    put(static_cast<uint64_t>(column.size()));
+    for (int64_t x : column) put(x);
+  };
+  put(uint32_t{2});    // version
+  put(uint64_t{1});    // session count
+  put(uint64_t{42});   // session id
+  put_column({5, 7});  // macro items, then each one's operations
+  put_column({0, 2});
+  put_column({1});
+  put_column({5, 5, 7});  // flat items
+  put_column({0, 2, 1});  // flat operations
+  put(Crc32(image.data(), image.size()));
+
+  serve::SessionStore victim;
+  ASSERT_TRUE(victim.ApplyEvent(9, {1, 1}).ok());
+  const std::string before = victim.Serialize();
+  const std::string path = TempPath("serve_snapshot_v2.bin");
+  WriteAll(path, image);
+  const Status s = victim.LoadSnapshot(path);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("unsupported session snapshot version 2"),
+            std::string::npos)
+      << s.ToString();
+  EXPECT_EQ(victim.Serialize(), before);
 }
 
 // A CRC-valid snapshot is not a trusted one: restored for a frontend, it

@@ -92,12 +92,8 @@ TEST(TensorTest, InPlaceOps) {
   Tensor b({2}, {3, 4});
   a.AddInPlace(b);
   EXPECT_FLOAT_EQ(a.at(0), 4);
-  a.SubInPlace(b);
-  EXPECT_FLOAT_EQ(a.at(1), 2);
-  a.MulInPlace(b);
-  EXPECT_FLOAT_EQ(a.at(0), 3);
   a.ScaleInPlace(2.0f);
-  EXPECT_FLOAT_EQ(a.at(1), 16);
+  EXPECT_FLOAT_EQ(a.at(1), 12);
   a.Fill(7.0f);
   EXPECT_FLOAT_EQ(a.at(0), 7);
 }

@@ -2,10 +2,14 @@
 
 #include <climits>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "util/check.h"
+#include "util/crc32.h"
 #include "util/env.h"
 #include "util/rng.h"
+#include "util/sealed_file.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -127,14 +131,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(RngTest, GeometricCappedRespectsCap) {
-  Rng rng(13);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_LE(rng.GeometricCapped(0.99, 4), 4);
-    EXPECT_EQ(rng.GeometricCapped(0.0, 10), 0);
-  }
-}
-
 TEST(ZipfWeightsTest, DecreasingAndPositive) {
   auto w = ZipfWeights(10, 1.2);
   ASSERT_EQ(w.size(), 10u);
@@ -158,9 +154,7 @@ TEST(StringUtilTest, FormatDouble) {
 }
 
 TEST(StringUtilTest, Padding) {
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
   EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("abcdef", 3), "abc");
 }
 
 TEST(StringUtilTest, RenderTableAligns) {
@@ -213,6 +207,120 @@ TEST(EnvTest, FallsBackOnNonFiniteDouble) {
   setenv("EMBSR_TEST_ENV_X", "1e3", 1);
   EXPECT_DOUBLE_EQ(GetEnvDouble("EMBSR_TEST_ENV_X", 2.5), 1000.0);
   unsetenv("EMBSR_TEST_ENV_X");
+}
+
+// ---------------------------------------------------------------------------
+// SealedFile: the framing checkpoints and session snapshots share, checked
+// on images assembled here byte by byte.
+
+constexpr char kTestMagic[8] = {'S', 'E', 'A', 'L', 'T', 'E', 'S', 'T'};
+
+template <typename T>
+std::string Bytes(T value) {
+  return std::string(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// magic | version u32 | payload | CRC-32 of every byte before it.
+std::string HandSealed(uint32_t version, const std::string& payload) {
+  std::string image = std::string(kTestMagic, sizeof(kTestMagic)) +
+                      Bytes(version) + payload;
+  return image + Bytes(Crc32(image.data(), image.size()));
+}
+
+Status OpenAsV3(const std::string& image) {
+  SealedReader r(image, "test file");
+  return r.Open(kTestMagic, 3);
+}
+
+TEST(SealedFile, WriterAndReaderRoundTrip) {
+  SealedWriter w(kTestMagic, 3);
+  w.Write(uint32_t{7});
+  w.Write(int64_t{-5});
+  w.WriteBytes("abc", 3);
+  const std::string image = std::move(w).Seal();
+  EXPECT_EQ(image,
+            HandSealed(3, Bytes(uint32_t{7}) + Bytes(int64_t{-5}) + "abc"));
+
+  SealedReader r(image, "test file");
+  ASSERT_TRUE(r.Open(kTestMagic, 3).ok());
+  EXPECT_EQ(r.remaining(), 15u);
+  uint32_t a = 0;
+  int64_t b = 0;
+  std::string c(3, '\0');
+  ASSERT_TRUE(r.Read(&a, "a").ok());
+  ASSERT_TRUE(r.Read(&b, "b").ok());
+  ASSERT_TRUE(r.ReadBytes(c.data(), c.size(), "c").ok());
+  EXPECT_EQ(a, 7u);
+  EXPECT_EQ(b, -5);
+  EXPECT_EQ(c, "abc");
+  EXPECT_TRUE(r.End().ok());
+}
+
+TEST(SealedFile, BadMagicIsRejected) {
+  std::string image = HandSealed(3, "payload");
+  image[0] = 'X';
+  for (const std::string& bad : {image, std::string(kTestMagic, 5)}) {
+    const Status s = OpenAsV3(bad);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(s.message(), "not a test file (bad magic)");
+  }
+}
+
+// A file of another version may predate the CRC trailer, so the version is
+// checked before the CRC and reported even when the CRC is wrong.
+TEST(SealedFile, OtherVersionIsReportedBeforeABadCrc) {
+  std::string image = HandSealed(1, "payload");
+  image.back() = static_cast<char>(image.back() ^ 0x01);
+  const Status s = OpenAsV3(image);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(), "unsupported test file version 1");
+}
+
+TEST(SealedFile, BadCrcIsRejected) {
+  const std::string good = HandSealed(3, "payload");
+  ASSERT_TRUE(OpenAsV3(good).ok());
+  for (size_t byte : {size_t{12}, size_t{18}, good.size() - 1}) {
+    std::string image = good;
+    image[byte] = static_cast<char>(image[byte] ^ 0x04);
+    const Status s = OpenAsV3(image);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << byte;
+    EXPECT_NE(s.message().find("test file CRC mismatch"), std::string::npos)
+        << byte << ": " << s.message();
+  }
+  // Magic and version, then fewer bytes than a CRC.
+  const Status s = OpenAsV3(std::string(kTestMagic, 8) + Bytes(uint32_t{3}) + "ab");
+  EXPECT_EQ(s.message(), "test file of 14 bytes is too short for a CRC");
+}
+
+TEST(SealedFile, ShortReadNamesKindFieldAndOffset) {
+  const std::string image = HandSealed(3, Bytes(uint32_t{9}) + "xy");
+  SealedReader r(image, "test file");
+  ASSERT_TRUE(r.Open(kTestMagic, 3).ok());
+  uint32_t count = 0;
+  ASSERT_TRUE(r.Read(&count, "count").ok());
+  uint64_t id = 0;
+  const Status s = r.Read(&id, "widget id");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  // The CRC trailer is not payload: two bytes are left, not six.
+  EXPECT_EQ(s.message(),
+            "truncated test file: need 8 bytes for widget id at offset 16, "
+            "have 2");
+}
+
+TEST(SealedFile, UnreadPayloadFailsTheEndCheck) {
+  const std::string image =
+      HandSealed(3, Bytes(uint32_t{9}) + Bytes(uint32_t{10}));
+  SealedReader r(image, "test file");
+  ASSERT_TRUE(r.Open(kTestMagic, 3).ok());
+  uint32_t value = 0;
+  ASSERT_TRUE(r.Read(&value, "first").ok());
+  const Status s = r.End();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(s.message(),
+            "corrupt test file: 4 trailing bytes before the CRC at offset 16");
+  ASSERT_TRUE(r.Read(&value, "second").ok());
+  EXPECT_EQ(value, 10u);
+  EXPECT_TRUE(r.End().ok());
 }
 
 }  // namespace
