@@ -14,6 +14,9 @@
 # fixed-suite leg (below) to the tests matching both its own suite regex
 # and the caller's; a leg that no test matches is skipped.
 #
+# The `plain` config (no sanitizer) builds with -DEMBSR_WERROR=ON, so a new
+# compiler warning anywhere in the build fails the matrix.
+#
 # The `contracts` config builds with -DEMBSR_CHECK_CONTRACTS=ON (no
 # sanitizer): every tensor kernel then verifies its declared per-chunk
 # access sets against the DESIGN.md §11 partition contract before
@@ -122,18 +125,21 @@ failed=()
 for config in "${configs[@]}"; do
   build_dir="$build_root/build-$config"
   contracts=OFF
+  werror=OFF
   case "$config" in
     address)   sanitize=address ;;
     thread)    sanitize=thread ;;
-    plain)     sanitize=off ;;
+    plain)     sanitize=off; werror=ON ;;
     contracts) sanitize=off; contracts=ON ;;
   esac
   echo "=== [$config] configuring $build_dir" \
-       "(EMBSR_SANITIZE=$sanitize EMBSR_CHECK_CONTRACTS=$contracts)"
+       "(EMBSR_SANITIZE=$sanitize EMBSR_CHECK_CONTRACTS=$contracts" \
+       "EMBSR_WERROR=$werror)"
   cmake -B "$build_dir" -S "$repo_root" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DEMBSR_SANITIZE="$sanitize" \
-    -DEMBSR_CHECK_CONTRACTS="$contracts"
+    -DEMBSR_CHECK_CONTRACTS="$contracts" \
+    -DEMBSR_WERROR="$werror"
   cmake --build "$build_dir" -j "$jobs"
 
   log="$build_dir/ctest-$config.log"

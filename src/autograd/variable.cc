@@ -69,7 +69,13 @@ const Tensor& Variable::value() const {
 
 Tensor& Variable::mutable_value() {
   EMBSR_CHECK(defined());
+  ++node_->version;
   return node_->value;
+}
+
+uint64_t Variable::version() const {
+  EMBSR_CHECK(defined());
+  return node_->version;
 }
 
 Tensor Variable::GradOrZeros() const {

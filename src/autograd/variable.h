@@ -40,6 +40,11 @@ struct Node {
   /// edges that propagated a gradient here (+1 at the backward root for
   /// the seed).
   int64_t accum_count = 0;
+  /// Write count of `value` through Variable::mutable_value(), the one call
+  /// every parameter write goes through (optimizer step, snapshot restore,
+  /// checkpoint load, gradcheck perturbation). A cache derived from `value`
+  /// (nn::Embedding's decode table) is fresh while this is unchanged.
+  uint64_t version = 0;
 
   /// Adds `g` into this node's grad buffer (allocating it if needed).
   void AccumulateGrad(const Tensor& g);
@@ -62,7 +67,10 @@ class Variable {
 
   bool defined() const { return node_ != nullptr; }
   const Tensor& value() const;
+  /// Write access to the value; bumps version(), so take it only to write.
   Tensor& mutable_value();
+  /// The node's write count (Node::version).
+  uint64_t version() const;
   /// The accumulated gradient; zeros if none has been accumulated yet.
   Tensor GradOrZeros() const;
   bool requires_grad() const;

@@ -314,8 +314,7 @@ Variable EmbsrModel::DecodeRepr(const Variable& m) {
   using namespace ag;  // NOLINT
   // Normalized scoring (Eq. 19).
   Variable m_hat = Scale(L2NormalizeRowsOp(m), cfg_.wk);
-  Variable items_norm = L2NormalizeRowsOp(items_.table());
-  return ScoreItems(m_hat, items_norm);
+  return items_.CosineScores(m_hat);
 }
 
 Variable EmbsrModel::BatchedLogits(const SessionBatch& batch) {

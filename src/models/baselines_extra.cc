@@ -28,7 +28,7 @@ Variable Gru4Rec::BatchedLogits(const SessionBatch& batch) {
   x = Dropout(x, config().dropout, training(), rng());
   Variable h = gru_.ForwardBatchedLast(x, batch.batch, batch.step_masks,
                                        batch.step_all_valid);  // [B, d]
-  return ScoreItems(h, items_.table());
+  return items_.Scores(h);
 }
 
 // -- FPMC -----------------------------------------------------------------------
@@ -45,7 +45,7 @@ Variable Fpmc::Logits(const Example& ex) {
   using namespace ag;  // NOLINT
   EMBSR_CHECK(!ex.macro_items.empty());
   Variable last = item_to_latent_.Forward({ex.macro_items.back()});
-  return ScoreItems(last, latent_to_item_.table());
+  return latent_to_item_.Scores(last);
 }
 
 // -- STAN -----------------------------------------------------------------------

@@ -30,7 +30,7 @@ Variable SrGnn::Logits(const Example& ex) {
   h = ggnn_.Forward(h, adj.a_in, adj.a_out);
   Variable states = GatherRows(h, adj.alias);
   Variable rep = readout_.Forward(states);
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- GC-SAN ---------------------------------------------------------------------
@@ -68,7 +68,7 @@ Variable GcSan::Logits(const Example& ex) {
   }
   Variable e_f = Row(x, t - 1);
   Variable rep = Add(Scale(e_f, omega_), Scale(h_last, 1.0f - omega_));
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- MKM-SR ---------------------------------------------------------------------
@@ -106,7 +106,7 @@ Variable MkmSr::Logits(const Example& ex) {
   Variable op_rep = op_gru_.ForwardLast(ops_.Forward(flat_ops));
 
   Variable rep = combine_.Forward(ConcatCols(item_rep, op_rep));
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- SGNN-HN --------------------------------------------------------------------
@@ -187,8 +187,7 @@ Variable SgnnHn::Logits(const Example& ex) {
 
   // NISER-style normalized scoring.
   Variable m_hat = Scale(L2NormalizeRowsOp(rep), wk_);
-  Variable items_norm = L2NormalizeRowsOp(items_.table());
-  return ScoreItems(m_hat, items_norm);
+  return items_.CosineScores(m_hat);
 }
 
 }  // namespace embsr

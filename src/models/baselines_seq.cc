@@ -45,7 +45,7 @@ Variable Narm::Logits(const Example& ex) {
   Variable c = ConcatCols(h_t, c_local);
   c = Dropout(c, config().dropout, training(), rng());
   Variable rep = decode_.Forward(c);
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- STAMP ----------------------------------------------------------------------
@@ -98,7 +98,7 @@ Variable Stamp::BatchedLogits(const SessionBatch& batch) {
   Variable h_s = Tanh(mlp_s_.Forward(m_a));
   Variable h_t = Tanh(mlp_t_.Forward(x_t));
   Variable rep = Mul(h_s, h_t);
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- RIB ----------------------------------------------------------------------
@@ -131,7 +131,7 @@ Variable Rib::Logits(const Example& ex) {
       Tensor::Ones({1, h.value().dim(0)}));  // [1, t]
   Variable rep = MatMul(att, h);
   rep = Dropout(rep, config().dropout, training(), rng());
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- HUP ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ Variable Hup::Logits(const Example& ex) {
       Sigmoid(Add(RepeatRow(a1_.Forward(h_t), t), a2_.Forward(h))), v_);
   Variable c_local = MatMul(Transpose(att), h);
   Variable rep = decode_.Forward(ConcatCols(h_t, c_local));
-  return ScoreItems(rep, items_.table());
+  return items_.Scores(rep);
 }
 
 // -- BERT4Rec --------------------------------------------------------------------
@@ -224,8 +224,7 @@ Variable Bert4Rec::Logits(const Example& ex) {
   }
   Variable z = Row(x, t - 1);
   // Tied output weights over the real items (excluding [MASK]).
-  Variable table = SliceRows(items_.table(), 0, num_items());
-  return ScoreItems(z, table);
+  return items_.Scores(z, num_items());
 }
 
 }  // namespace embsr

@@ -60,6 +60,12 @@ class NeuralSessionModel : public Recommender, public nn::Module {
   std::vector<std::vector<float>> ScoreBatch(
       const std::vector<const Example*>& examples);
 
+  /// Copies of every parameter value, in Parameters() order.
+  std::vector<Tensor> SnapshotParameters() const;
+  /// Writes a SnapshotParameters() copy back: Fit's best-validation and
+  /// health-rollback restores.
+  void RestoreParameters(const std::vector<Tensor>& snapshot);
+
   const TrainConfig& config() const { return cfg_; }
   int64_t num_items() const { return num_items_; }
   int64_t num_operations() const { return num_operations_; }
@@ -76,9 +82,6 @@ class NeuralSessionModel : public Recommender, public nn::Module {
  private:
   /// Mean reciprocal rank @20 on a split, in inference mode.
   double ValidationMrr(const std::vector<Example>& split, size_t cap);
-
-  std::vector<Tensor> SnapshotParameters() const;
-  void RestoreParameters(const std::vector<Tensor>& snapshot);
 
   std::string name_;
   int64_t num_items_;

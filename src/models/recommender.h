@@ -56,7 +56,8 @@ class Recommender {
   /// Thread-safety contract: after EnsureEvalMode() returns, concurrent
   /// ScoreAll calls from multiple threads must be safe — the evaluator
   /// fans examples out across the par:: pool. In practice this means the
-  /// scoring path must be read-only on model state. Scoring is inference
+  /// scoring path must be read-only on model state, or lock what it
+  /// writes (nn::Embedding's decode cache does). Scoring is inference
   /// only: neural models run it under ag::NoGradScope and build no
   /// backward graph.
   virtual std::vector<float> ScoreAll(const Example& ex) = 0;

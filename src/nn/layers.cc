@@ -53,6 +53,48 @@ ag::Variable Embedding::Forward(const std::vector<int64_t>& indices) const {
   return ag::GatherRows(table_, indices);
 }
 
+ag::Variable Embedding::Scores(const ag::Variable& rep) const {
+  return Decode(rep, count_, /*normalized=*/false);
+}
+
+ag::Variable Embedding::Scores(const ag::Variable& rep, int64_t rows) const {
+  return Decode(rep, rows, /*normalized=*/false);
+}
+
+ag::Variable Embedding::CosineScores(const ag::Variable& rep) const {
+  return Decode(rep, count_, /*normalized=*/true);
+}
+
+ag::Variable Embedding::Decode(const ag::Variable& rep, int64_t rows,
+                               bool normalized) const {
+  EMBSR_CHECK_GT(rows, 0);
+  EMBSR_CHECK_LE(rows, count_);
+  if (ag::NoGradScope::Active()) {
+    return ag::MatMul(rep, DecodeTable(rows, normalized));
+  }
+  ag::Variable table =
+      rows == count_ ? table_ : ag::SliceRows(table_, 0, rows);
+  if (normalized) table = ag::L2NormalizeRowsOp(table);
+  return ag::ScoreItems(rep, table);
+}
+
+ag::Variable Embedding::DecodeTable(int64_t rows, bool normalized) const {
+  std::lock_guard<std::mutex> lock(decode_mu_);
+  const uint64_t version = table_.version();
+  if (!decode_table_.defined() || decode_version_ != version ||
+      decode_rows_ != rows || decode_normalized_ != normalized) {
+    Tensor t = rows == count_ ? table_.value()
+                              : table_.value().SliceRows(0, rows);
+    if (normalized) t = L2NormalizeRows(t);
+    // A handle swap: a decode still holding the old T keeps it alive.
+    decode_table_ = ag::Constant(t.Transposed());
+    decode_version_ = version;
+    decode_rows_ = rows;
+    decode_normalized_ = normalized;
+  }
+  return decode_table_;
+}
+
 // -- GRUCell ------------------------------------------------------------------
 
 GRUCell::GRUCell(int64_t input_dim, int64_t hidden_dim, Rng* rng)

@@ -1,6 +1,7 @@
 #ifndef EMBSR_NN_LAYERS_H_
 #define EMBSR_NN_LAYERS_H_
 
+#include <mutex>
 #include <vector>
 
 #include "autograd/ops.h"
@@ -32,6 +33,15 @@ class Linear : public Module {
 };
 
 /// A lookup table of `count` embeddings of dimension `dim`.
+///
+/// It is also the candidate side of the decodes: Scores and CosineScores
+/// score session representations against every row. With the graph on they
+/// build the differentiable ag::ScoreItems(rep, table). Under an
+/// ag::NoGradScope they run MatMul(rep, T) on a cached [dim, rows]
+/// transpose T of the table, which tensor.h's MatMulTransposedB contract
+/// makes bitwise the same scores. T is rebuilt on the first decode after
+/// the table's version moves (any mutable_value() write). The check and
+/// the rebuild hold a mutex, so scoring threads may meet a stale T together.
 class Embedding : public Module {
  public:
   Embedding(int64_t count, int64_t dim, Rng* rng);
@@ -39,17 +49,35 @@ class Embedding : public Module {
   /// indices -> [indices.size(), dim].
   ag::Variable Forward(const std::vector<int64_t>& indices) const;
 
-  /// The full table as a variable (e.g. as the candidate-item matrix when
-  /// scoring all items).
+  /// rep · tableᵀ over the first `rows` embeddings: [n, dim] -> [n, rows].
+  /// The one-argument form scores all `count` of them.
+  ag::Variable Scores(const ag::Variable& rep) const;
+  ag::Variable Scores(const ag::Variable& rep, int64_t rows) const;
+  /// Eq. 19's cosine decode: rep · L2Normalize(table)ᵀ -> [n, count]. The
+  /// caller normalizes and scales `rep`.
+  ag::Variable CosineScores(const ag::Variable& rep) const;
+
+  /// The full table as a variable.
   const ag::Variable& table() const { return table_; }
 
   int64_t count() const { return count_; }
   int64_t dim() const { return dim_; }
 
  private:
+  ag::Variable Decode(const ag::Variable& rep, int64_t rows,
+                      bool normalized) const;
+  /// The cached T for (rows, normalized), rebuilt if stale.
+  ag::Variable DecodeTable(int64_t rows, bool normalized) const;
+
   ag::Variable table_;
   int64_t count_;
   int64_t dim_;
+
+  mutable std::mutex decode_mu_;
+  mutable ag::Variable decode_table_;  // undefined until the first build
+  mutable uint64_t decode_version_ = 0;
+  mutable int64_t decode_rows_ = 0;
+  mutable bool decode_normalized_ = false;
 };
 
 /// A single GRU step (cho et al. 2014 formulation, PyTorch gate layout).

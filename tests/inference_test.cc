@@ -2,7 +2,7 @@
 //
 // NeuralSessionModel::ScoreBatch, the one funnel under ScoreAll,
 // ValidationMrr, Evaluate and serving, runs its forward under an
-// ag::NoGradScope. This file holds that path to four things:
+// ag::NoGradScope. This file holds that path to five things:
 //
 //  1. The scope itself: ops under it build nodes with no parents, no
 //     backward closure and requires_grad false; scopes nest and are
@@ -17,11 +17,17 @@
 //  4. The memory mechanism: EMBSR's peak tensor bytes for a 16-session
 //     ScoreBatch stay within a small multiple of a 1-session one, because
 //     each session's intermediates die as the forward moves on.
+//  5. The decode cache (nn::Embedding's [d, V] transpose of the item table,
+//     normalized for Eq. 19) never serves a stale table: after an Adam
+//     step, a checkpoint load and a snapshot restore, ScoreAll still
+//     memcmp-equals the graph-on logits, and a cold cache met by 4 lanes
+//     at once ranks as 1 lane does.
 //
 // Suite names start with `Autograd`, which the EMBSR_PROF=1 EMBSR_THREADS=4
 // leg of scripts/run_sanitized_tests.sh selects; its EMBSR_THREADS=4 leg
 // names AutogradInference(DeathTest) explicitly.
 
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -35,9 +41,12 @@
 #include "graph/session_graph.h"
 #include "gtest/gtest.h"
 #include "models/neural_model.h"
+#include "nn/checkpoint.h"
+#include "optim/optimizer.h"
 #include "par/thread_pool.h"
 #include "prof/mem_tracker.h"
 #include "prof/op_profiler.h"
+#include "train/evaluator.h"
 #include "train/model_zoo.h"
 #include "util/rng.h"
 
@@ -322,9 +331,9 @@ int64_t ScoringPeakBytes(NeuralSessionModel* model,
 // die, so the peak of a 16-session batch is about 16 one-session graphs.
 // Without one, a session's intermediates go as soon as its representation
 // is built, and the batch adds only its [16, d] representations and
-// [16, V] logits. Tiny-zoo EMBSR, bytes above baseline: 1 session 1,632
-// and 16 sessions 3,028 (1.9x); with the scope dropped from ScoreBatch,
-// 13,472 and 204,696 (15.2x).
+// [16, V] logits. Tiny-zoo EMBSR, bytes above baseline: 1 session 1,448
+// and 16 sessions 2,640 (1.8x); with the scope dropped from ScoreBatch,
+// 13,416 and 203,800 (15.2x).
 TEST(AutogradInference, EmbsrScoringPeakDoesNotGrowWithBatch) {
   std::unique_ptr<Recommender> model = CreateTinyZooModel("EMBSR");
   ASSERT_NE(model, nullptr);
@@ -334,13 +343,122 @@ TEST(AutogradInference, EmbsrScoringPeakDoesNotGrowWithBatch) {
   const Example ex = TinyZooExample();
   const std::vector<const Example*> one = {&ex};
   const std::vector<const Example*> sixteen(16, &ex);
-  (void)neural->ScoreBatch(one);  // warm-up
+  // Warm-up. It also builds the item table's cached normalized transpose,
+  // so neither measured call pays that one-off [d, V] build.
+  (void)neural->ScoreBatch(one);
 
   const int64_t peak1 = ScoringPeakBytes(neural, one);
   const int64_t peak16 = ScoringPeakBytes(neural, sixteen);
   ASSERT_GT(peak1, 0);
   EXPECT_LT(peak16, 4 * peak1) << "1 session: " << peak1
                                << " B, 16 sessions: " << peak16 << " B";
+}
+
+// ---- 5. The decode cache -------------------------------------------------------
+
+/// ScoreAll of every session, each checked to memcmp-equal the logits
+/// LossOn records with the graph on (which never reads the cache).
+std::vector<std::vector<float>> ScoresEqualToGraphOn(
+    NeuralSessionModel* model, const std::vector<Example>& exs) {
+  std::vector<std::vector<float>> out;
+  for (size_t i = 0; i < exs.size(); ++i) {
+    const Variable loss = model->LossOn(exs[i]);
+    EXPECT_EQ(loss.node()->parents.size(), 1u) << "graph off in LossOn";
+    if (loss.node()->parents.size() != 1) break;
+    const Tensor& logits = loss.node()->parents[0]->value;
+    std::vector<float> scores = model->ScoreAll(exs[i]);
+    EXPECT_TRUE(static_cast<int64_t>(scores.size()) == logits.size() &&
+                std::memcmp(scores.data(), logits.data(),
+                            sizeof(float) * scores.size()) == 0)
+        << "session " << i;
+    out.push_back(std::move(scores));
+  }
+  return out;
+}
+
+/// One Adam step on the graph-on loss of `ex`: moves every parameter the
+/// loss reaches, the decoded item table among them.
+void AdamStep(NeuralSessionModel* model, const Example& ex) {
+  optim::Adam opt(model->Parameters(), /*lr=*/0.05f);
+  model->LossOn(ex).Backward();
+  opt.Step();
+}
+
+// Each write path goes through Variable::mutable_value(), which bumps the
+// table's version. The scores checked after each write also warm the cache
+// at the new parameters, so the next write meets a warm cache it must
+// invalidate. The three writes lead to three parameter sets, none of them
+// the built one, so with the bump removed from mutable_value() (the cache
+// then keeps the built table) every model fails after the step, the load
+// and the restore alike.
+TEST(AutogradInference, CachedDecodeTableFollowsEveryParameterWrite) {
+  const std::vector<Example> exs = FixtureAndEdgeShapes();
+  const std::string ckpt =
+      std::string(::testing::TempDir()) + "/inference_cache_seed18.ckpt";
+  int neural_checked = 0;
+  for (const std::string& name : ZooModelNames()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = CreateTinyZooModel(name);
+    ASSERT_NE(model, nullptr);
+    auto* neural = dynamic_cast<NeuralSessionModel*>(model.get());
+    if (neural == nullptr) continue;
+    ++neural_checked;
+    neural->EnsureEvalMode();
+    const auto built = ScoresEqualToGraphOn(neural, exs);
+    std::vector<std::vector<float>> stepped;
+    {
+      SCOPED_TRACE("after an Adam step");
+      AdamStep(neural, exs[0]);
+      stepped = ScoresEqualToGraphOn(neural, exs);
+      EXPECT_NE(stepped, built);
+    }
+    const std::vector<Tensor> snapshot = neural->SnapshotParameters();
+    {
+      SCOPED_TRACE("after a checkpoint load from another seed");
+      TrainConfig cfg = TinyZooConfig();
+      cfg.seed += 1;
+      std::unique_ptr<Recommender> other =
+          CreateModel(name, kTinyZooItems, kTinyZooOperations, cfg);
+      auto* other_neural = dynamic_cast<NeuralSessionModel*>(other.get());
+      ASSERT_NE(other_neural, nullptr);
+      other_neural->EnsureEvalMode();
+      ASSERT_TRUE(nn::SaveCheckpoint(*other_neural, ckpt).ok());
+      ASSERT_TRUE(nn::LoadCheckpoint(ckpt, neural).ok());
+      EXPECT_EQ(ScoresEqualToGraphOn(neural, exs),
+                ScoresEqualToGraphOn(other_neural, exs));
+    }
+    {
+      SCOPED_TRACE("after a snapshot restore");
+      neural->RestoreParameters(snapshot);
+      EXPECT_EQ(ScoresEqualToGraphOn(neural, exs), stepped);
+    }
+  }
+  EXPECT_EQ(neural_checked, 21);
+  std::remove(ckpt.c_str());
+}
+
+// Evaluate pins eval mode and scores from every lane at once, so right
+// after a step the first decodes on all 4 lanes find the cache stale
+// together. The rebuild is serialized; every lane must decode against the
+// new table (TSan runs this in the sanitizer matrix's thread config).
+TEST(AutogradInference, ColdCacheRanksAtFourLanesAsAtOne) {
+  const std::vector<Example> exs = EdgeShapeSessions(/*seed=*/20261019, 64);
+  for (const std::string& name : ZooModelNames()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<Recommender> model = CreateTinyZooModel(name);
+    ASSERT_NE(model, nullptr);
+    auto* neural = dynamic_cast<NeuralSessionModel*>(model.get());
+    if (neural == nullptr) continue;
+    neural->EnsureEvalMode();
+    (void)neural->ScoreAll(exs[0]);  // warm, for the step to leave stale
+    AdamStep(neural, exs[0]);
+    par::SetThreadCount(4);
+    const EvalResult four = Evaluate(neural, exs, {20});
+    par::SetThreadCount(1);
+    const EvalResult one = Evaluate(neural, exs, {20});
+    EXPECT_EQ(four.ranks, one.ranks);
+  }
+  par::SetThreadCount(0);
 }
 
 }  // namespace

@@ -867,7 +867,9 @@ TEST(ServeChaos, SurvivesMixedTrafficWithInvariantsIntact) {
           ASSERT_FALSE(resp.top_items.empty());
           ASSERT_LE(resp.top_items.size(), cfg.top_k);
           ASSERT_EQ(resp.top_items.size(), resp.top_scores.size());
-          if (resp.degraded) ASSERT_FALSE(resp.degraded_reason.empty());
+          if (resp.degraded) {
+            ASSERT_FALSE(resp.degraded_reason.empty());
+          }
         } else {
           ASSERT_EQ(resp.status.code(), StatusCode::kDeadlineExceeded);
           ++abandoned;
