@@ -163,11 +163,14 @@ for config in "${configs[@]}"; do
   # passes), batch_equiv_test (the batched collator/forward/backward
   # paths and the evaluator's chunk scheduling at forward batch 4 and 16),
   # inference_test (no-grad scoring across the zoo at 1 and 4 lanes;
-  # its suites also match the third leg's `Autograd` prefix) and
-  # graph_test's MultigraphMessageSum (EMBSR's segment-sum message
-  # aggregation against the dense scatter MatMul, at 1 and 4 lanes).
+  # its suites also match the third leg's `Autograd` prefix),
+  # autograd_backward_test (the cached transposes and in-place weight
+  # gradients of MatMul and ScoreItems, whose kernel splits rows across
+  # the pool; also in the third leg) and graph_test's MultigraphMessageSum
+  # (EMBSR's segment-sum message aggregation against the dense scatter
+  # MatMul, at 1 and 4 lanes).
   run_leg "$config threads=4" "$build_dir/ctest-$config-threads4.log" \
-    '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?|MultigraphMessageSum)\.' \
+    '^(ParFor|ThreadPool|KernelEquivTest|DeterminismTest|ObsRaceTest|AccessSentinel(DeathTest)?|GraphAudit|BatchEquiv|AutogradInference(DeathTest)?|AutogradBackward|MultigraphMessageSum)\.' \
     EMBSR_THREADS=4
 
   # Third leg: the embsr::prof attribution counters under live profiling.

@@ -162,6 +162,7 @@ TapeAuditReport AuditTape(const ag::Variable& loss,
     const int64_t bytes = n->value.size() * static_cast<int64_t>(sizeof(float));
     if (on_tape.count(n) > 0) report.stats.recorded_bytes += bytes;
     if (n->accum_count > 0) report.stats.recorded_bytes += bytes;
+    if (n->transposed != nullptr) report.stats.recorded_bytes += bytes;
     if (n->def == nullptr || n->parents.empty()) continue;
     ++report.stats.shapes_checked;
     if (std::string e = n->def->shape_rule(*n); !e.empty()) {

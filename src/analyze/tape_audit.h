@@ -67,7 +67,10 @@ struct TapeAuditStats {
   /// What a heap execution of the graph, which frees nothing until the
   /// graph dies, holds at its high-water mark: the value of every tape
   /// node, plus one gradient buffer for every node that accumulated one
-  /// (pre-tape parameters included).
+  /// (pre-tape parameters included), plus every leaf's cached transpose
+  /// (ag::Node::transposed). On a model whose parameters were written
+  /// since their last graph-on use, a fresh one included, those are
+  /// exactly the transposes the audited pass built.
   int64_t recorded_bytes = 0;
   std::map<std::string, int64_t> op_histogram;  // reachable nodes per op
 };

@@ -6,6 +6,7 @@
 #include <iterator>
 #include <span>
 #include <sstream>
+#include <utility>
 
 #include "autograd/op_def.h"
 #include "autograd/tape.h"
@@ -82,8 +83,10 @@ Variable MakeOp(OpId id, Tensor value, std::initializer_list<Variable> inputs,
                 std::forward<Backward>(backward));
 }
 
-void AccumIfNeeded(const std::shared_ptr<Node>& parent, const Tensor& g) {
-  if (parent->requires_grad) parent->AccumulateGrad(g);
+/// Accumulates `g` into a parent that requires grad, moving an rvalue in.
+template <typename G>
+void AccumIfNeeded(const std::shared_ptr<Node>& parent, G&& g) {
+  if (parent->requires_grad) parent->AccumulateGrad(std::forward<G>(g));
 }
 
 }  // namespace
@@ -164,7 +167,7 @@ Variable MulColBroadcast(const Variable& a, const Variable& col) {
           ga.data()[i * d + j] = o->grad.data()[i * d + j] * c;
         }
       }
-      an->AccumulateGrad(ga);
+      an->AccumulateGrad(std::move(ga));
     }
     if (cn->requires_grad) {
       cn->AccumulateGrad(embsr::SumColsToNx1(embsr::Mul(o->grad, an->value)));
@@ -192,13 +195,19 @@ Variable MatMul(const Variable& a, const Variable& b) {
   auto bn = b.node();
   return MakeOp(OpId::kMatMul, embsr::MatMul(a.value(), b.value()), {a, b},
                 [an, bn](Node* out) {
+                  // dA = dY·Bᵀ. A leaf B (a parameter or constant) keeps its
+                  // transpose until its next write, and MatMul on it is
+                  // bitwise MatMulTransposedB(dY, B) (tensor.h).
                   if (an->requires_grad) {
                     an->AccumulateGrad(
-                        embsr::MatMulTransposedB(out->grad, bn->value));
+                        bn->def == nullptr
+                            ? embsr::MatMul(out->grad, bn->ValueTransposed())
+                            : embsr::MatMulTransposedB(out->grad, bn->value));
                   }
+                  // dB = Aᵀ·dY, summed straight into B's grad.
                   if (bn->requires_grad) {
-                    bn->AccumulateGrad(
-                        embsr::MatMul(an->value.Transposed(), out->grad));
+                    bn->AccumulateGradTransposedA(an->value, out->grad,
+                                                  /*transpose=*/false);
                   }
                 });
 }
@@ -206,18 +215,23 @@ Variable MatMul(const Variable& a, const Variable& b) {
 Variable ScoreItems(const Variable& a, const Variable& b) {
   auto an = a.node();
   auto bn = b.node();
-  Tensor y = embsr::MatMulTransposedB(a.value(), b.value());
+  // With the graph on, a leaf table's cached transpose serves the forward
+  // as it serves MatMul's backward: the same scores, bitwise.
+  const bool graph_on =
+      (an->requires_grad || bn->requires_grad) && !NoGradScope::Active();
+  Tensor y = graph_on && bn->def == nullptr
+                 ? embsr::MatMul(a.value(), bn->ValueTransposed())
+                 : embsr::MatMulTransposedB(a.value(), b.value());
   return MakeOp(OpId::kScoreItems, std::move(y), {a, b},
                 [an, bn](Node* out) {
-                  // The gradients MatMul(a, Transpose(b)) accumulates, from
-                  // the same kernels in the same order.
+                  // The gradients MatMul(a, Transpose(b)) accumulates, in
+                  // the same order: the table's is (aᵀ·dY)ᵀ.
                   if (an->requires_grad) {
                     an->AccumulateGrad(embsr::MatMul(out->grad, bn->value));
                   }
                   if (bn->requires_grad) {
-                    bn->AccumulateGrad(
-                        embsr::MatMul(an->value.Transposed(), out->grad)
-                            .Transposed());
+                    bn->AccumulateGradTransposedA(an->value, out->grad,
+                                                  /*transpose=*/true);
                   }
                 });
 }
@@ -238,7 +252,7 @@ Variable Sigmoid(const Variable& a) {
     const float* py = out->value.data();
     float* pg = g.data();
     for (int64_t i = 0; i < g.size(); ++i) pg[i] *= py[i] * (1.0f - py[i]);
-    an->AccumulateGrad(g);
+    an->AccumulateGrad(std::move(g));
   });
 }
 
@@ -251,7 +265,7 @@ Variable Tanh(const Variable& a) {
     const float* py = out->value.data();
     float* pg = g.data();
     for (int64_t i = 0; i < g.size(); ++i) pg[i] *= 1.0f - py[i] * py[i];
-    an->AccumulateGrad(g);
+    an->AccumulateGrad(std::move(g));
   });
 }
 
@@ -266,7 +280,7 @@ Variable Relu(const Variable& a) {
     for (int64_t i = 0; i < g.size(); ++i) {
       if (px[i] <= 0.0f) pg[i] = 0.0f;
     }
-    an->AccumulateGrad(g);
+    an->AccumulateGrad(std::move(g));
   });
 }
 
@@ -285,7 +299,7 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
                                   out->grad.data() + i * (da + db),
                                   sizeof(float) * da);
                     }
-                    an->AccumulateGrad(ga);
+                    an->AccumulateGrad(std::move(ga));
                   }
                   if (bn->requires_grad) {
                     Tensor gb({n, db});
@@ -294,7 +308,7 @@ Variable ConcatCols(const Variable& a, const Variable& b) {
                                   out->grad.data() + i * (da + db) + da,
                                   sizeof(float) * db);
                     }
-                    bn->AccumulateGrad(gb);
+                    bn->AccumulateGrad(std::move(gb));
                   }
                 });
 }
@@ -349,7 +363,7 @@ Variable SliceRows(const Variable& a, int64_t begin, int64_t end) {
                   const int64_t d = ga.ndim() == 2 ? ga.dim(1) : 1;
                   std::memcpy(ga.data() + begin * d, out->grad.data(),
                               sizeof(float) * (end - begin) * d);
-                  an->AccumulateGrad(ga);
+                  an->AccumulateGrad(std::move(ga));
                 });
 }
 
@@ -363,7 +377,7 @@ Variable GatherRows(const Variable& table,
                   if (!tn->requires_grad) return;
                   Tensor gt(tn->value.shape());
                   embsr::ScatterAddRows(out->grad, indices, &gt);
-                  tn->AccumulateGrad(gt);
+                  tn->AccumulateGrad(std::move(gt));
                 });
 }
 
@@ -416,7 +430,7 @@ Variable RowSoftmaxMasked(const Variable& a, const Tensor& mask) {
         o[j] = y[j] * (g[j] - static_cast<float>(dot));
       }
     }
-    an->AccumulateGrad(ga);
+    an->AccumulateGrad(std::move(ga));
   });
 }
 
@@ -437,7 +451,7 @@ Variable SumRowsTo1xD(const Variable& a) {
     for (int64_t i = 0; i < n; ++i) {
       std::memcpy(ga.data() + i * d, out->grad.data(), sizeof(float) * d);
     }
-    an->AccumulateGrad(ga);
+    an->AccumulateGrad(std::move(ga));
   });
 }
 
@@ -485,7 +499,7 @@ Variable L2NormalizeRowsOp(const Variable& a) {
         ga.data()[i * d + j] = (g[j] - static_cast<float>(gy) * y[j]) * inv;
       }
     }
-    an->AccumulateGrad(ga);
+    an->AccumulateGrad(std::move(ga));
   });
 }
 
@@ -531,7 +545,7 @@ Variable LayerNormRows(const Variable& a, float eps) {
             (g[j] - gm - yv[j] * gym) * inv_std[i]);
       }
     }
-    an->AccumulateGrad(ga);
+    an->AccumulateGrad(std::move(ga));
   });
 }
 
@@ -578,7 +592,7 @@ Variable SoftmaxCrossEntropy(const Variable& logits,
                     ga.at2(i, targets[i]) -= 1.0f;
                   }
                   ga.ScaleInPlace(g0);
-                  ln->AccumulateGrad(ga);
+                  ln->AccumulateGrad(std::move(ga));
                 });
 }
 

@@ -1,6 +1,7 @@
 #include "autograd/variable.h"
 
 #include <unordered_set>
+#include <utility>
 
 #include "autograd/op_def.h"
 #include "autograd/tape.h"
@@ -44,6 +45,17 @@ std::vector<Node*> BackwardPostOrder(const Variable& root) {
 
 }  // namespace
 
+void Node::AccumulateGrad(Tensor&& g) {
+  EMBSR_CHECK(g.shape() == value.shape());
+  if (!grad_ready) {
+    grad = std::move(g);
+    grad_ready = true;
+  } else {
+    grad.AddInPlace(g);
+  }
+  ++accum_count;
+}
+
 void Node::AccumulateGrad(const Tensor& g) {
   EMBSR_CHECK(g.shape() == value.shape());
   if (!grad_ready) {
@@ -53,6 +65,23 @@ void Node::AccumulateGrad(const Tensor& g) {
     grad.AddInPlace(g);
   }
   ++accum_count;
+}
+
+void Node::AccumulateGradTransposedA(const Tensor& a, const Tensor& b,
+                                     bool transpose) {
+  // The first accumulation stores into the buffer ZeroGrad kept, or into a
+  // new one on a node's first backward.
+  if (!grad_ready && grad.shape() != value.shape()) grad = Tensor(value.shape());
+  MatMulTransposedAInto(a, b, /*store=*/!grad_ready, transpose, &grad);
+  grad_ready = true;
+  ++accum_count;
+}
+
+const Tensor& Node::ValueTransposed() {
+  if (transposed == nullptr) {
+    transposed = std::make_unique<const Tensor>(value.Transposed());
+  }
+  return *transposed;
 }
 
 Variable::Variable(Tensor value, bool requires_grad) {
@@ -70,6 +99,7 @@ const Tensor& Variable::value() const {
 Tensor& Variable::mutable_value() {
   EMBSR_CHECK(defined());
   ++node_->version;
+  node_->transposed.reset();
   return node_->value;
 }
 
@@ -81,6 +111,11 @@ uint64_t Variable::version() const {
 Tensor Variable::GradOrZeros() const {
   EMBSR_CHECK(defined());
   if (!node_->grad_ready) return Tensor::Zeros(node_->value.shape());
+  return node_->grad;
+}
+
+const Tensor& Variable::grad() const {
+  EMBSR_CHECK(has_grad());
   return node_->grad;
 }
 

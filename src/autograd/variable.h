@@ -45,9 +45,28 @@ struct Node {
   /// checkpoint load, gradcheck perturbation). A cache derived from `value`
   /// (nn::Embedding's decode table) is fresh while this is unchanged.
   uint64_t version = 0;
+  /// `value` transposed, kept for a leaf (def == nullptr) that is the right
+  /// operand of a graph-on MatMul or ScoreItems (ops.cc): their backward
+  /// passes, and ScoreItems' forward, multiply by it instead of re-packing
+  /// `value` on every call. Null until ValueTransposed() builds it, so a
+  /// node that never uses it allocates nothing more. Every
+  /// Variable::mutable_value() drops it as it bumps `version`, so a built
+  /// transpose is always of the current version. Only graph-on ops read it,
+  /// and a model records its graph and runs its backward on one thread, so
+  /// it takes no lock; scoring under a NoGradScope never touches it.
+  std::unique_ptr<const Tensor> transposed;
 
-  /// Adds `g` into this node's grad buffer (allocating it if needed).
+  /// Adds `g` into this node's grad buffer. The first accumulation since
+  /// ZeroGrad moves an rvalue in and copies a borrowed tensor.
+  void AccumulateGrad(Tensor&& g);
   void AccumulateGrad(const Tensor& g);
+  /// Accumulates aᵀ·b (its transpose when `transpose`) into the grad, with
+  /// the bits and accum_count of AccumulateGrad(MatMul(a.Transposed(), b))
+  /// but without building the product (tensor.h, MatMulTransposedAInto).
+  void AccumulateGradTransposedA(const Tensor& a, const Tensor& b,
+                                 bool transpose);
+  /// `transposed`, built from `value` if it is null.
+  const Tensor& ValueTransposed();
 };
 
 /// A value in a define-by-run computation graph.
@@ -67,12 +86,15 @@ class Variable {
 
   bool defined() const { return node_ != nullptr; }
   const Tensor& value() const;
-  /// Write access to the value; bumps version(), so take it only to write.
+  /// Write access to the value; bumps version() and drops the node's cached
+  /// transpose, so take it only to write.
   Tensor& mutable_value();
   /// The node's write count (Node::version).
   uint64_t version() const;
   /// The accumulated gradient; zeros if none has been accumulated yet.
   Tensor GradOrZeros() const;
+  /// The accumulated gradient, read in place; requires has_grad().
+  const Tensor& grad() const;
   bool requires_grad() const;
   bool has_grad() const;
 

@@ -53,7 +53,7 @@ void Adam::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     auto& p = params_[i];
     if (!p.has_grad()) continue;
-    const Tensor& g = p.GradOrZeros();
+    const Tensor& g = p.grad();
     float* pm = m_[i].data();
     float* pv = v_[i].data();
     float* pw = p.mutable_value().data();
@@ -99,7 +99,7 @@ float GlobalGradNorm(const std::vector<ag::Variable>& params) {
   double total = 0.0;
   for (const auto& p : params) {
     if (!p.has_grad()) continue;
-    const float n = p.GradOrZeros().L2Norm();
+    const float n = p.grad().L2Norm();
     total += static_cast<double>(n) * n;
   }
   return static_cast<float>(std::sqrt(total));
@@ -110,14 +110,9 @@ float ClipGradNorm(const std::vector<ag::Variable>& params, float max_norm) {
   const float norm = GlobalGradNorm(params);
   if (norm > max_norm && norm > 0.0f) {
     const float scale = max_norm / norm;
-    for (auto& pv : params) {
-      // GradOrZeros copies; mutate via the node by re-accumulating scaled.
-      ag::Variable p = pv;
-      if (!p.has_grad()) continue;
-      Tensor g = p.GradOrZeros();
-      g.ScaleInPlace(scale);
-      p.ZeroGrad();
-      p.node()->AccumulateGrad(g);
+    // Scaling is not an accumulation: accum_count keeps its count.
+    for (const auto& p : params) {
+      if (p.has_grad()) p.node()->grad.ScaleInPlace(scale);
     }
   }
   return norm;

@@ -138,6 +138,34 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+void MatMulTransposedAInto(const Tensor& a, const Tensor& b, bool store,
+                           bool transpose_out, Tensor* out) {
+  EMBSR_CHECK(out != nullptr);
+  EMBSR_CHECK_EQ(a.ndim(), 2);
+  EMBSR_CHECK_EQ(b.ndim(), 2);
+  EMBSR_CHECK_EQ(a.dim(0), b.dim(0));
+  const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
+  EMBSR_CHECK(out->shape() == (transpose_out ? std::vector<int64_t>{m, k}
+                                             : std::vector<int64_t>{k, m}));
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out->data();
+  // One sum per element of aᵀ·b in MatMul(a.Transposed(), b)'s order: i
+  // ascending from +0.0f, skipping zeros of a. Then stored or added.
+  for (int64_t r = 0; r < k; ++r) {
+    for (int64_t c = 0; c < m; ++c) {
+      float acc = 0.0f;
+      for (int64_t i = 0; i < n; ++i) {
+        const float av = pa[i * k + r];
+        if (av == 0.0f) continue;
+        acc += av * pb[i * m + c];
+      }
+      float& o = transpose_out ? po[c * k + r] : po[r * m + c];
+      o = store ? acc : o + acc;
+    }
+  }
+}
+
 Tensor SumAll(const Tensor& a) {
   double acc = 0.0;
   for (int64_t i = 0; i < a.size(); ++i) acc += a.data()[i];

@@ -29,6 +29,8 @@ Tensor Sigmoid(const Tensor& a);
 Tensor Relu(const Tensor& a);
 Tensor MatMul(const Tensor& a, const Tensor& b);
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
+void MatMulTransposedAInto(const Tensor& a, const Tensor& b, bool store,
+                           bool transpose_out, Tensor* out);
 Tensor SumAll(const Tensor& a);
 Tensor SumRowsTo1xD(const Tensor& a);
 Tensor SumColsToNx1(const Tensor& a);

@@ -469,6 +469,98 @@ Tensor MatMulTransposedB(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+namespace {
+
+// Rows [lo, hi) of MatMulTransposedAInto's output, whose rows are `cols`
+// wide. Every element sums its terms a[i][·] * b[i][·] for i ascending from
+// +0.0f, skipping a's zeros, as MatMul(aᵀ, b) sums its zero-initialized
+// output; only the finished sum is stored or added. A stored sum
+// accumulates in place; an added one in `sum`, or, with one term per
+// element (n == 1), as 0.0f + term in the same pass. In the transposed
+// layout the skip is per element. Against a finite b[i][r] it needs no
+// branch: a's zeros then give ±0.0f terms, and adding those leaves a sum
+// begun at +0.0f (never -0.0f) bitwise alone. A function of its own, not
+// the chunk lambda, so the loops see plain locals and vectorize.
+void MatMulTransposedARows(const float* pa, const float* pb, float* po,
+                           int64_t n, int64_t k, int64_t m, bool store,
+                           bool transpose_out, int64_t lo, int64_t hi) {
+  constexpr int64_t kTile = 64;
+  const int64_t cols = transpose_out ? k : m;
+  float sum[kTile];
+  for (int64_t r = lo; r < hi; ++r) {
+    float* orow = po + r * cols;
+    if (!store && n == 1 && !transpose_out) {
+      const float av = pa[r];
+      for (int64_t c = 0; c < cols; ++c) {
+        orow[c] += 0.0f + (av == 0.0f ? 0.0f : av * pb[c]);
+      }
+      continue;
+    }
+    for (int64_t cb = 0; cb < cols; cb += kTile) {
+      const int64_t w = std::min<int64_t>(kTile, cols - cb);
+      float* acc = store ? orow + cb : sum;
+      std::fill_n(acc, w, 0.0f);
+      for (int64_t i = 0; i < n; ++i) {
+        if (!transpose_out) {
+          // Row r of aᵀ·b: a[i][r] scales row i of b.
+          const float av = pa[i * k + r];
+          if (av == 0.0f) continue;
+          const float* brow = pb + i * m + cb;
+          for (int64_t j = 0; j < w; ++j) acc[j] += av * brow[j];
+        } else {
+          // Row r of (aᵀ·b)ᵀ: b[i][r] scales row i of a.
+          const float bv = pb[i * m + r];
+          const float* arow = pa + i * k + cb;
+          if (std::isfinite(bv)) {
+            for (int64_t j = 0; j < w; ++j) acc[j] += arow[j] * bv;
+          } else {
+            for (int64_t j = 0; j < w; ++j) {
+              if (arow[j] != 0.0f) acc[j] += arow[j] * bv;
+            }
+          }
+        }
+      }
+      if (!store) {
+        for (int64_t j = 0; j < w; ++j) orow[cb + j] += sum[j];
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void MatMulTransposedAInto(const Tensor& a, const Tensor& b, bool store,
+                           bool transpose_out, Tensor* out) {
+  EMBSR_CHECK(out != nullptr);
+  EMBSR_CHECK_EQ(a.ndim(), 2);
+  EMBSR_CHECK_EQ(b.ndim(), 2);
+  EMBSR_CHECK_EQ(a.dim(0), b.dim(0));
+  const int64_t n = a.dim(0), k = a.dim(1), m = b.dim(1);
+  const int64_t rows = transpose_out ? m : k;
+  const int64_t cols = transpose_out ? k : m;
+  EMBSR_CHECK(out->shape() == std::vector<int64_t>({rows, cols}));
+  const float* pa = a.data();
+  const float* pb = b.data();
+  float* po = out->data();
+  // Row-parallel over *out; each element is summed by one thread in one
+  // order, so *out gets the bits AccumulateGrad of the built product would
+  // give it at every thread count.
+  const int64_t grain =
+      std::max<int64_t>(1, kMatMulGrainFlops / std::max<int64_t>(1, n * cols));
+  par::ForChecked(
+      "MatMulTransposedAInto", 0, rows, grain,
+      [&](int64_t lo, int64_t hi, par::AccessSet* acc) {
+        acc->Write(po, lo * cols, hi * cols);
+        if (!store) acc->Read(po, lo * cols, hi * cols);
+        acc->Read(pa, 0, n * k);  // every row reads a column (or all) of a
+        acc->Read(pb, 0, n * m);
+      },
+      [&](int64_t lo, int64_t hi) {
+        MatMulTransposedARows(pa, pb, po, n, k, m, store, transpose_out, lo,
+                              hi);
+      });
+}
+
 // SumAll / SumRowsTo1xD reduce ACROSS the would-be partition axis,
 // so any split would reorder the float summation; they stay serial by the
 // kernel contract (DESIGN.md §11).

@@ -178,6 +178,17 @@ Tensor MatMul(const Tensor& a, const Tensor& b);
 /// on `a`.
 Tensor MatMulTransposedB(const Tensor& a, const Tensor& b);
 
+/// aᵀ·b ([n, k] x [n, m] -> [k, m]) written into `*out`: stored when
+/// `store`, else added element by element. With `transpose_out`, *out is
+/// [m, k] and receives (aᵀ·b)ᵀ. Each element is summed as
+/// MatMul(a.Transposed(), b) sums it, i ascending from +0.0f with the
+/// zero-skip on `a`, and only then stored or added. So *out ends bitwise
+/// equal to MatMul(a.Transposed(), b) (transposed when `transpose_out`),
+/// or to *out's AddInPlace of it, with neither the transpose of a nor the
+/// product built. Row-parallel over the rows of *out.
+void MatMulTransposedAInto(const Tensor& a, const Tensor& b, bool store,
+                           bool transpose_out, Tensor* out);
+
 /// Sum of all elements as a scalar tensor.
 Tensor SumAll(const Tensor& a);
 /// Column sums: [n, d] -> [1, d].

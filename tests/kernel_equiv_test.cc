@@ -15,6 +15,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +199,62 @@ TEST_F(KernelEquivTest, MatMulTransposedBAcrossPanelEdges) {
                        tag + " vs MatMul on the transpose");
     CheckAtAllThreadCounts(oracle, [&] { return MatMulTransposedB(a, b); },
                            tag);
+  }
+}
+
+// aᵀ·b written into an existing [k, m] output (MatMul's weight gradient)
+// or its [m, k] transpose (ScoreItems' table gradient), stored or added.
+// Extents straddle the 64-wide tile, row counts reach several chunks, a
+// quarter of A is zeroed (some of it -0.0f) for the zero-skip, B holds one
+// +Inf that meets those zeros, and the output added into holds -0.0f.
+// Besides its ref:: oracle, the kernel must equal the composition the
+// backward passes would otherwise build, AddInPlace of
+// MatMul(a.Transposed(), b) (or of its transpose), bitwise.
+TEST_F(KernelEquivTest, MatMulTransposedAIntoStoresAndAdds) {
+  EMBSR_KERNEL_EQUIV(MatMulTransposedAInto);
+  struct Shape3 {
+    int64_t n, k, m;
+  };
+  const std::vector<Shape3> shapes = {
+      {1, 1, 1},   {1, 100, 100}, {3, 17, 127},
+      {17, 65, 63}, {2, 129, 66},  {64, 7, 300},
+  };
+  for (const auto& s : shapes) {
+    Tensor a = Tensor::RandUniform({s.n, s.k}, -1.0f, 1.0f, &rng_);
+    Tensor b = Tensor::RandUniform({s.n, s.m}, -1.0f, 1.0f, &rng_);
+    for (int64_t i = 0; i < a.size(); i += 4) a.at(i) = i % 8 ? -0.0f : 0.0f;
+    b.at(b.size() / 2) = std::numeric_limits<float>::infinity();
+    const Tensor product = tensor::ref::MatMul(a.Transposed(), b);
+    for (bool transpose_out : {false, true}) {
+      const Tensor stored = transpose_out ? product.Transposed() : product;
+      Tensor prior = Tensor::RandUniform(stored.shape(), -1.0f, 1.0f, &rng_);
+      for (int64_t i = 0; i < prior.size(); i += 3) prior.at(i) = -0.0f;
+      for (bool store : {true, false}) {
+        const std::string tag =
+            std::string("MatMulTransposedAInto ") +
+            (transpose_out ? "transposed " : "") + (store ? "store " : "add ") +
+            std::to_string(s.n) + "x" + std::to_string(s.k) + "x" +
+            std::to_string(s.m);
+        // A stored output starts as NaN, so any element left unwritten
+        // shows.
+        const Tensor start =
+            store ? Tensor(stored.shape(), std::nanf("")) : prior;
+        Tensor composed = prior;
+        composed.AddInPlace(stored);
+        Tensor oracle = start;
+        tensor::ref::MatMulTransposedAInto(a, b, store, transpose_out, &oracle);
+        ExpectBitIdentical(oracle, store ? stored : composed,
+                           tag + " vs the built product");
+        CheckAtAllThreadCounts(
+            oracle,
+            [&] {
+              Tensor got = start;
+              MatMulTransposedAInto(a, b, store, transpose_out, &got);
+              return got;
+            },
+            tag);
+      }
+    }
   }
 }
 
